@@ -44,6 +44,7 @@
 #include "src/plan/allreduce.h"
 #include "src/runtime/datapar.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace {
@@ -129,34 +130,34 @@ void write_json(const std::string& path, std::size_t threads, double copy_bandwi
                 const std::vector<RunResult>& runs, bool bits_ok, bool comm_ok,
                 double straggler_clean, double straggler_bound, double straggler_measured,
                 bool straggler_ok) {
-  std::ofstream os(path);
-  os << "{\n  \"threads_per_worker\": " << threads
-     << ",\n  \"grad_shards\": " << kGradShards
-     << ",\n  \"copy_bandwidth_bytes_per_s\": " << copy_bandwidth
-     << ",\n  \"comm_tolerance\": " << kCommTolerance
-     << ",\n  \"loss_bitwise_match\": " << (bits_ok ? "true" : "false")
-     << ",\n  \"comm_within_tolerance\": " << (comm_ok ? "true" : "false")
-     << ",\n  \"workers\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    os << "    {\"workers\": " << r.workers << ", \"step_seconds\": " << r.step_seconds
-       << ", \"overlap_step_seconds\": " << r.overlap_step_seconds
-       << ", \"comm_seconds\": " << r.comm_seconds
-       << ", \"predicted_comm_seconds\": " << r.predicted_comm_seconds
-       << ", \"comm_ratio\": "
-       << (r.predicted_comm_seconds > 0 ? r.comm_seconds / r.predicted_comm_seconds : 0.0)
-       << ", \"barrier_seconds\": " << r.barrier_seconds << ",\n     \"buckets\": [";
-    for (std::size_t b = 0; b < r.buckets.size(); ++b)
-      os << (b ? ", " : "") << "{\"payload_bytes\": " << r.buckets[b].payload_bytes
-         << ", \"ring_seconds\": " << r.buckets[b].ring_seconds
-         << ", \"bandwidth_bytes_per_s\": " << r.buckets[b].bandwidth << "}";
-    os << "]}" << (i + 1 < runs.size() ? "," : "") << "\n";
+  util::Json workers = util::Json::array();
+  for (const RunResult& r : runs) {
+    util::Json buckets = util::Json::array();
+    for (const BucketRow& b : r.buckets)
+      buckets.push_back(util::Json::object({{"payload_bytes", b.payload_bytes},
+                                            {"ring_seconds", b.ring_seconds},
+                                            {"bandwidth_bytes_per_s", b.bandwidth}}));
+    workers.push_back(util::Json::object(
+        {{"workers", r.workers}, {"step_seconds", r.step_seconds},
+         {"overlap_step_seconds", r.overlap_step_seconds},
+         {"comm_seconds", r.comm_seconds},
+         {"predicted_comm_seconds", r.predicted_comm_seconds},
+         {"comm_ratio", r.predicted_comm_seconds > 0
+                            ? r.comm_seconds / r.predicted_comm_seconds
+                            : 0.0},
+         {"barrier_seconds", r.barrier_seconds}, {"buckets", buckets}}));
   }
-  os << "  ],\n  \"straggler\": {\"clean_step_seconds\": " << straggler_clean
-     << ", \"predicted_extra_seconds\": " << straggler_bound
-     << ", \"measured_step_seconds\": " << straggler_measured
-     << ", \"slack\": " << kStragglerSlack
-     << ", \"within_bound\": " << (straggler_ok ? "true" : "false") << "}\n}\n";
+  const util::Json straggler = util::Json::object(
+      {{"clean_step_seconds", straggler_clean},
+       {"predicted_extra_seconds", straggler_bound},
+       {"measured_step_seconds", straggler_measured}, {"slack", kStragglerSlack},
+       {"within_bound", straggler_ok}});
+  const util::Json doc = util::Json::object(
+      {{"threads_per_worker", threads}, {"grad_shards", kGradShards},
+       {"copy_bandwidth_bytes_per_s", copy_bandwidth}, {"comm_tolerance", kCommTolerance},
+       {"loss_bitwise_match", bits_ok}, {"comm_within_tolerance", comm_ok},
+       {"workers", workers}, {"straggler", straggler}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 }  // namespace

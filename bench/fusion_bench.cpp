@@ -34,6 +34,7 @@
 #include "src/runtime/executor.h"
 #include "src/runtime/memplan.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace {
@@ -165,39 +166,29 @@ struct CaseResult {
 
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<CaseResult>& results) {
-  std::ofstream os(path);
-  os << "{\n  \"threads\": " << threads << ",\n  \"models\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    auto mode = [&](const ModeResult& m) {
-      os << "{\"step_seconds\": " << m.step_seconds << ", \"ops\": " << m.ops
-         << ", \"measured_bytes\": " << m.measured_bytes
-         << ", \"symbolic_bytes\": " << m.symbolic_bytes
-         << ", \"intensity_flops_per_byte\": " << m.intensity()
-         << ", \"slab_bytes\": " << m.slab_bytes << "}";
-    };
-    os << "    {\"name\": \"" << r.name << "\", \"pointwise_groups\": "
-       << r.fused.pointwise_groups << ", \"gemm_epilogues\": "
-       << r.fused.gemm_epilogues << ", \"ops_removed\": " << r.fused.ops_removed
-       << ",\n     \"unfused\": ";
-    mode(r.unfused);
-    os << ",\n     \"fused\": ";
-    mode(r.fused);
-    os << ",\n     \"bytes_reduction\": "
-       << (r.unfused.measured_bytes > 0
-               ? 1.0 - r.fused.measured_bytes / r.unfused.measured_bytes
-               : 0.0)
-       << ", \"step_speedup\": "
-       << (r.fused.step_seconds > 0 ? r.unfused.step_seconds / r.fused.step_seconds
-                                    : 0.0)
-       << ", \"loss_bitwise_match\": " << (r.loss_bitwise ? "true" : "false")
-       << ", \"intensity_increased\": " << (r.intensity_up ? "true" : "false")
-       << ", \"measured_matches_symbolic\": "
-       << (r.bytes_match_symbolic ? "true" : "false")
-       << ", \"fused_slab_not_larger\": " << (r.slab_ok ? "true" : "false") << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  const auto mode = [](const ModeResult& m) {
+    return util::Json::object(
+        {{"step_seconds", m.step_seconds}, {"ops", m.ops},
+         {"measured_bytes", m.measured_bytes}, {"symbolic_bytes", m.symbolic_bytes},
+         {"intensity_flops_per_byte", m.intensity()}, {"slab_bytes", m.slab_bytes}});
+  };
+  util::Json models = util::Json::array();
+  for (const CaseResult& r : results)
+    models.push_back(util::Json::object(
+        {{"name", r.name}, {"pointwise_groups", r.fused.pointwise_groups},
+         {"gemm_epilogues", r.fused.gemm_epilogues}, {"ops_removed", r.fused.ops_removed},
+         {"unfused", mode(r.unfused)}, {"fused", mode(r.fused)},
+         {"bytes_reduction", r.unfused.measured_bytes > 0
+                                 ? 1.0 - r.fused.measured_bytes / r.unfused.measured_bytes
+                                 : 0.0},
+         {"step_speedup", r.fused.step_seconds > 0
+                              ? r.unfused.step_seconds / r.fused.step_seconds
+                              : 0.0},
+         {"loss_bitwise_match", r.loss_bitwise}, {"intensity_increased", r.intensity_up},
+         {"measured_matches_symbolic", r.bytes_match_symbolic},
+         {"fused_slab_not_larger", r.slab_ok}}));
+  const util::Json doc = util::Json::object({{"threads", threads}, {"models", models}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace {
@@ -456,73 +457,58 @@ UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int rep
 void write_codegen_json(const std::string& path, std::size_t threads,
                         const std::vector<ChainResult>& chains,
                         const UkrResult& ukr, bool speedup_gate_ok) {
-  std::ofstream os(path);
-  os << "{\n  \"threads\": " << threads << ",\n  \"best_isa\": \""
-     << hw::simd_isa_name(hw::best_simd_isa()) << "\",\n  \"chains\": [\n";
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    const ChainResult& c = chains[i];
-    os << "    {\"label\": \"" << c.label << "\", \"elems\": " << c.elems
-       << ", \"instrs\": " << c.instrs
-       << ", \"exact\": " << (c.exact ? "true" : "false")
-       << ", \"interp_gbytes_per_s\": " << c.interp_gbytes_per_s
-       << ", \"best_speedup\": " << c.best_speedup
-       << ", \"max_rel_err\": " << c.max_rel_err
-       << ", \"bitwise_ok\": " << (c.bitwise_ok ? "true" : "false")
-       << ", \"parity_ok\": " << (c.parity_ok ? "true" : "false")
-       << ", \"per_isa\": [";
-    for (std::size_t j = 0; j < c.per_isa.size(); ++j)
-      os << (j ? ", " : "") << "{\"isa\": \"" << c.per_isa[j].isa
-         << "\", \"gbytes_per_s\": " << c.per_isa[j].gbytes_per_s
-         << ", \"speedup\": " << c.per_isa[j].speedup << "}";
-    os << "]}" << (i + 1 < chains.size() ? "," : "") << "\n";
+  util::Json chain_rows = util::Json::array();
+  for (const ChainResult& c : chains) {
+    util::Json per_isa = util::Json::array();
+    for (const ChainIsaResult& r : c.per_isa)
+      per_isa.push_back(util::Json::object(
+          {{"isa", r.isa}, {"gbytes_per_s", r.gbytes_per_s}, {"speedup", r.speedup}}));
+    chain_rows.push_back(util::Json::object(
+        {{"label", c.label}, {"elems", c.elems}, {"instrs", c.instrs}, {"exact", c.exact},
+         {"interp_gbytes_per_s", c.interp_gbytes_per_s}, {"best_speedup", c.best_speedup},
+         {"max_rel_err", c.max_rel_err}, {"bitwise_ok", c.bitwise_ok},
+         {"parity_ok", c.parity_ok}, {"per_isa", per_isa}}));
   }
-  os << "  ],\n  \"gemm_micro_kernel\": {\"label\": \"" << ukr.label
-     << "\", \"scalar_tile\": \"" << ukr.scalar_tile << "\", \"simd_tile\": \""
-     << ukr.simd_tile << "\", \"scalar_gflops\": " << ukr.scalar_gflops
-     << ", \"simd_gflops\": " << ukr.simd_gflops << ", \"speedup\": " << ukr.speedup
-     << ", \"bitwise_match\": " << (ukr.bitwise_match ? "true" : "false")
-     << "},\n  \"speedup_gate_2x\": " << (speedup_gate_ok ? "true" : "false")
-     << "\n}\n";
+  const util::Json micro = util::Json::object(
+      {{"label", ukr.label}, {"scalar_tile", ukr.scalar_tile},
+       {"simd_tile", ukr.simd_tile}, {"scalar_gflops", ukr.scalar_gflops},
+       {"simd_gflops", ukr.simd_gflops}, {"speedup", ukr.speedup},
+       {"bitwise_match", ukr.bitwise_match}});
+  const util::Json doc = util::Json::object(
+      {{"threads", threads}, {"best_isa", hw::simd_isa_name(hw::best_simd_isa())},
+       {"chains", chain_rows}, {"gemm_micro_kernel", micro},
+       {"speedup_gate_2x", speedup_gate_ok}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<GemmResult>& gemms,
                 const std::vector<ConvResult>& convs,
                 const std::vector<TrafficPoint>& traffic, bool traffic_trend_ok) {
-  std::ofstream os(path);
-  os << "{\n  \"threads\": " << threads << ",\n  \"model_cache_bytes\": "
-     << rt::gemm_model_cache_bytes() << ",\n  \"gemm\": [\n";
-  for (std::size_t i = 0; i < gemms.size(); ++i) {
-    const GemmResult& r = gemms[i];
-    os << "    {\"label\": \"" << r.label << "\", \"m\": " << r.m << ", \"n\": " << r.n
-       << ", \"k\": " << r.k << ", \"blocked_gflops\": " << r.blocked_gflops
-       << ", \"reference_gflops\": " << r.reference_gflops
-       << ", \"speedup\": " << r.speedup
-       << ", \"measured_traffic_bytes\": " << r.measured_traffic_bytes
-       << ", \"model_traffic_bytes\": " << r.model_traffic_bytes
-       << ", \"bitwise_match\": " << (r.bitwise_match ? "true" : "false")
-       << ", \"deterministic\": " << (r.deterministic ? "true" : "false") << "}"
-       << (i + 1 < gemms.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"conv\": [\n";
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    const ConvResult& r = convs[i];
-    os << "    {\"label\": \"" << r.label
-       << "\", \"blocked_gflops\": " << r.blocked_gflops
-       << ", \"reference_gflops\": " << r.reference_gflops
-       << ", \"speedup\": " << r.speedup
-       << ", \"forward_bitwise\": " << (r.forward_bitwise ? "true" : "false") << "}"
-       << (i + 1 < convs.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"traffic_sweep\": [\n";
-  for (std::size_t i = 0; i < traffic.size(); ++i) {
-    const TrafficPoint& p = traffic[i];
-    os << "    {\"edge\": " << p.edge << ", \"measured_ratio\": " << p.measured_ratio
-       << ", \"model_ratio\": " << p.model_ratio << "}"
-       << (i + 1 < traffic.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"traffic_trend_matches_model\": "
-     << (traffic_trend_ok ? "true" : "false") << "\n}\n";
+  util::Json gemm_rows = util::Json::array();
+  for (const GemmResult& r : gemms)
+    gemm_rows.push_back(util::Json::object(
+        {{"label", r.label}, {"m", r.m}, {"n", r.n}, {"k", r.k},
+         {"blocked_gflops", r.blocked_gflops}, {"reference_gflops", r.reference_gflops},
+         {"speedup", r.speedup}, {"measured_traffic_bytes", r.measured_traffic_bytes},
+         {"model_traffic_bytes", r.model_traffic_bytes},
+         {"bitwise_match", r.bitwise_match}, {"deterministic", r.deterministic}}));
+  util::Json conv_rows = util::Json::array();
+  for (const ConvResult& r : convs)
+    conv_rows.push_back(util::Json::object(
+        {{"label", r.label}, {"blocked_gflops", r.blocked_gflops},
+         {"reference_gflops", r.reference_gflops}, {"speedup", r.speedup},
+         {"forward_bitwise", r.forward_bitwise}}));
+  util::Json traffic_rows = util::Json::array();
+  for (const TrafficPoint& p : traffic)
+    traffic_rows.push_back(util::Json::object({{"edge", p.edge},
+                                               {"measured_ratio", p.measured_ratio},
+                                               {"model_ratio", p.model_ratio}}));
+  const util::Json doc = util::Json::object(
+      {{"threads", threads}, {"model_cache_bytes", rt::gemm_model_cache_bytes()},
+       {"gemm", gemm_rows}, {"conv", conv_rows}, {"traffic_sweep", traffic_rows},
+       {"traffic_trend_matches_model", traffic_trend_ok}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace {
@@ -151,34 +152,27 @@ struct CaseResult {
 
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<CaseResult>& results) {
-  std::ofstream os(path);
-  os << "{\n  \"threads\": " << threads << ",\n  \"models\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    auto mode = [&](const ModeResult& m) {
-      os << "{\"step_seconds\": " << m.step_seconds
-         << ", \"allocs_per_step\": " << m.allocs_per_step
-         << ", \"alloc_bytes_per_step\": " << m.alloc_bytes_per_step
-         << ", \"peak_bytes\": " << m.peak_bytes << "}";
-    };
-    os << "    {\"name\": \"" << r.name << "\", \"ops\": " << r.ops
-       << ", \"planned_tensors\": " << r.planned.planned_tensors
-       << ", \"aliases\": " << r.planned.aliases
-       << ", \"slab_bytes\": " << r.planned.slab_bytes
-       << ", \"gross_bytes\": " << r.planned.gross_bytes
-       << ", \"reuse_fraction\": " << r.planned.reuse_fraction << ",\n     \"heap\": ";
-    mode(r.heap);
-    os << ",\n     \"planned\": ";
-    mode(r.planned);
-    os << ",\n     \"step_speedup\": "
-       << (r.planned.step_seconds > 0 ? r.heap.step_seconds / r.planned.step_seconds
-                                      : 0.0)
-       << ", \"allocs_o1\": " << (r.allocs_o1 ? "true" : "false")
-       << ", \"loss_bitwise_match\": " << (r.loss_bitwise ? "true" : "false")
-       << ", \"peak_within_footprint\": " << (r.peak_ok ? "true" : "false") << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  const auto mode = [](const ModeResult& m) {
+    return util::Json::object({{"step_seconds", m.step_seconds},
+                               {"allocs_per_step", m.allocs_per_step},
+                               {"alloc_bytes_per_step", m.alloc_bytes_per_step},
+                               {"peak_bytes", m.peak_bytes}});
+  };
+  util::Json models = util::Json::array();
+  for (const CaseResult& r : results)
+    models.push_back(util::Json::object(
+        {{"name", r.name}, {"ops", r.ops}, {"planned_tensors", r.planned.planned_tensors},
+         {"aliases", r.planned.aliases}, {"slab_bytes", r.planned.slab_bytes},
+         {"gross_bytes", r.planned.gross_bytes},
+         {"reuse_fraction", r.planned.reuse_fraction},
+         {"heap", mode(r.heap)}, {"planned", mode(r.planned)},
+         {"step_speedup", r.planned.step_seconds > 0
+                              ? r.heap.step_seconds / r.planned.step_seconds
+                              : 0.0},
+         {"allocs_o1", r.allocs_o1}, {"loss_bitwise_match", r.loss_bitwise},
+         {"peak_within_footprint", r.peak_ok}}));
+  const util::Json doc = util::Json::object({{"threads", threads}, {"models", models}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 }  // namespace

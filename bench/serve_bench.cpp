@@ -40,9 +40,9 @@
 #include "src/analysis/stages.h"
 #include "src/concurrency/thread_pool.h"
 #include "src/serve/cache.h"
-#include "src/serve/json.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace {
@@ -57,37 +57,37 @@ std::vector<std::string> build_request_stream(const std::vector<std::string>& fa
   std::vector<std::string> lines;
   for (const std::string& family : families) {
     {
-      serve::Json req = serve::Json::object();
-      req.set("kind", serve::Json("characterize"));
-      req.set("model", serve::Json(family));
-      req.set("hidden", serve::Json(256.0));
-      req.set("batch", serve::Json(32.0));
+      util::Json req = util::Json::object();
+      req.set("kind", util::Json("characterize"));
+      req.set("model", util::Json(family));
+      req.set("hidden", util::Json(256.0));
+      req.set("batch", util::Json(32.0));
       lines.push_back(req.dump());
     }
     {
-      serve::Json req = serve::Json::object();
-      req.set("kind", serve::Json("characterize"));
-      req.set("model", serve::Json(family));
-      req.set("params", serve::Json(2.0e7));  // width solved from target
-      req.set("batch", serve::Json(32.0));
+      util::Json req = util::Json::object();
+      req.set("kind", util::Json("characterize"));
+      req.set("model", util::Json(family));
+      req.set("params", util::Json(2.0e7));  // width solved from target
+      req.set("batch", util::Json(32.0));
       lines.push_back(req.dump());
     }
     {
-      serve::Json req = serve::Json::object();
-      req.set("kind", serve::Json("sweep"));
-      req.set("model", serve::Json(family));
-      serve::Json hiddens = serve::Json::array();
-      for (double h : {128.0, 256.0, 512.0}) hiddens.push_back(serve::Json(h));
+      util::Json req = util::Json::object();
+      req.set("kind", util::Json("sweep"));
+      req.set("model", util::Json(family));
+      util::Json hiddens = util::Json::array();
+      for (double h : {128.0, 256.0, 512.0}) hiddens.push_back(util::Json(h));
       req.set("hidden", hiddens);
-      req.set("batch", serve::Json(32.0));
+      req.set("batch", util::Json(32.0));
       lines.push_back(req.dump());
     }
     {
-      serve::Json req = serve::Json::object();
-      req.set("kind", serve::Json("memplan"));
-      req.set("model", serve::Json(family));
-      req.set("hidden", serve::Json(128.0));
-      req.set("batch", serve::Json(8.0));
+      util::Json req = util::Json::object();
+      req.set("kind", util::Json("memplan"));
+      req.set("model", util::Json(family));
+      req.set("hidden", util::Json(128.0));
+      req.set("batch", util::Json(8.0));
       lines.push_back(req.dump());
     }
   }
@@ -243,32 +243,29 @@ int main(int argc, char** argv) {
             << ", stream 1-vs-" << threads << " threads: "
             << (gate_stream ? "identical" : "DIFFER") << "\n";
 
-  std::ofstream os(out_path);
-  os << "{\n  \"threads\": " << threads << ",\n  \"families\": " << families.size()
-     << ",\n  \"requests_per_pass\": " << lines.size() << ",\n";
-  auto phase_json = [&](const char* name, const PhaseResult& p) {
-    os << "  \"" << name << "\": {\"requests\": " << p.requests
-       << ", \"seconds\": " << p.seconds << ", \"rps\": " << p.rps()
-       << ", \"p50_ms\": " << p.percentile(0.50) * 1e3
-       << ", \"p99_ms\": " << p.percentile(0.99) * 1e3 << "}";
+  const auto phase_json = [](const PhaseResult& p) {
+    return util::Json::object({{"requests", p.requests}, {"seconds", p.seconds},
+                               {"rps", p.rps()}, {"p50_ms", p.percentile(0.50) * 1e3},
+                               {"p99_ms", p.percentile(0.99) * 1e3}});
   };
-  phase_json("cold", cold);
-  os << ",\n";
-  phase_json("warm", warm);
-  os << ",\n  \"cache\": {\"entries\": " << after_warm.entries
-     << ", \"executions\": " << after_warm.executions << ", \"hits\": " << after_warm.hits
-     << ", \"hit_rate\": " << after_warm.hit_rate() << ", \"stages\": [";
-  for (std::size_t i = 0; i < after_warm.stages.size(); ++i) {
-    const auto& s = after_warm.stages[i];
-    os << (i ? ", " : "") << "{\"stage\": \"" << s.stage << "\", \"hits\": " << s.hits
-       << ", \"executions\": " << s.executions << "}";
-  }
-  os << "]},\n  \"gates\": {\"warm_speedup\": " << speedup
-     << ", \"warm_speedup_ok\": " << (gate_speedup ? "true" : "false")
-     << ", \"responses_identical\": " << (gate_identical ? "true" : "false")
-     << ", \"zero_warm_reexecutions\": " << (gate_no_reexec ? "true" : "false")
-     << ", \"stream_thread_invariant\": " << (gate_stream ? "true" : "false")
-     << "},\n  \"ok\": " << (ok ? "true" : "false") << "\n}\n";
+  util::Json stages = util::Json::array();
+  for (const auto& st : after_warm.stages)
+    stages.push_back(util::Json::object(
+        {{"stage", st.stage}, {"hits", st.hits}, {"executions", st.executions}}));
+  const util::Json cache = util::Json::object(
+      {{"entries", after_warm.entries}, {"executions", after_warm.executions},
+       {"hits", after_warm.hits}, {"hit_rate", after_warm.hit_rate()},
+       {"stages", stages}});
+  const util::Json gates = util::Json::object(
+      {{"warm_speedup", speedup}, {"warm_speedup_ok", gate_speedup},
+       {"responses_identical", gate_identical},
+       {"zero_warm_reexecutions", gate_no_reexec},
+       {"stream_thread_invariant", gate_stream}});
+  const util::Json doc = util::Json::object(
+      {{"threads", threads}, {"families", families.size()},
+       {"requests_per_pass", lines.size()}, {"cold", phase_json(cold)},
+       {"warm", phase_json(warm)}, {"cache", cache}, {"gates", gates}, {"ok", ok}});
+  std::ofstream(out_path) << doc.dump() << "\n";
   std::cout << "wrote " << out_path << "\n";
 
   if (!ok) {

@@ -64,6 +64,7 @@
 #include "src/runtime/executor.h"
 #include "src/runtime/kernels.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/whatif/resim.h"
 #include "src/whatif/trace.h"
@@ -335,46 +336,36 @@ struct CaseResult {
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<CaseResult>& results,
                 const std::vector<SimdCaseResult>& simd_results) {
-  std::ofstream os(path);
-  os << "{\n  \"threads\": " << threads
-     << ",\n  \"gate_threshold\": " << kGateThreshold << ",\n  \"models\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    os << "    {\"name\": \"" << r.name << "\", \"gated\": "
-       << (r.gated ? "true" : "false") << ", \"ops_unfused\": " << r.ops_unfused
-       << ", \"ops_predicted\": " << r.ops_predicted
-       << ", \"ops_measured\": " << r.ops_measured
-       << ", \"fuse_groups\": " << r.groups
-       << ",\n     \"unfused_span_seconds\": " << r.unfused_span
-       << ", \"overhead_seconds_per_op\": " << r.overhead_per_op
-       << ", \"identity_relative_error\": " << r.identity_error
-       << ",\n     \"predicted_fused_span_seconds\": " << r.predicted_span
-       << ", \"measured_fused_span_seconds\": " << r.measured_span
-       << ", \"relative_error\": " << r.relative_error()
-       << ", \"predicted_speedup\": "
-       << (r.predicted_span > 0 ? r.unfused_span / r.predicted_span : 0)
-       << ", \"measured_speedup\": "
-       << (r.measured_span > 0 ? r.unfused_span / r.measured_span : 0)
-       << ", \"pass\": " << (r.ok() ? "true" : "false") << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"simd_cases\": [\n";
-  for (std::size_t i = 0; i < simd_results.size(); ++i) {
-    const SimdCaseResult& r = simd_results[i];
-    os << "    {\"name\": \"" << r.name << "\", \"gated\": "
-       << (r.gated ? "true" : "false") << ", \"ops\": " << r.ops
-       << ", \"ops_simd\": " << r.ops_simd
-       << ", \"pointwise_ops\": " << r.pointwise_ops
-       << ", \"kernel_class_tags_ok\": " << (r.tags_ok ? "true" : "false")
-       << ",\n     \"microbench_kernel_speedup\": " << r.kernel_speedup
-       << ", \"interp_span_seconds\": " << r.interp_span
-       << ",\n     \"predicted_simd_span_seconds\": " << r.predicted_span
-       << ", \"measured_simd_span_seconds\": " << r.measured_span
-       << ", \"relative_error\": " << r.relative_error()
-       << ", \"pass\": " << (r.ok() ? "true" : "false") << "}"
-       << (i + 1 < simd_results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  util::Json models = util::Json::array();
+  for (const CaseResult& r : results)
+    models.push_back(util::Json::object(
+        {{"name", r.name}, {"gated", r.gated}, {"ops_unfused", r.ops_unfused},
+         {"ops_predicted", r.ops_predicted}, {"ops_measured", r.ops_measured},
+         {"fuse_groups", r.groups}, {"unfused_span_seconds", r.unfused_span},
+         {"overhead_seconds_per_op", r.overhead_per_op},
+         {"identity_relative_error", r.identity_error},
+         {"predicted_fused_span_seconds", r.predicted_span},
+         {"measured_fused_span_seconds", r.measured_span},
+         {"relative_error", r.relative_error()},
+         {"predicted_speedup",
+          r.predicted_span > 0 ? r.unfused_span / r.predicted_span : 0.0},
+         {"measured_speedup",
+          r.measured_span > 0 ? r.unfused_span / r.measured_span : 0.0},
+         {"pass", r.ok()}}));
+  util::Json simd_cases = util::Json::array();
+  for (const SimdCaseResult& r : simd_results)
+    simd_cases.push_back(util::Json::object(
+        {{"name", r.name}, {"gated", r.gated}, {"ops", r.ops}, {"ops_simd", r.ops_simd},
+         {"pointwise_ops", r.pointwise_ops}, {"kernel_class_tags_ok", r.tags_ok},
+         {"microbench_kernel_speedup", r.kernel_speedup},
+         {"interp_span_seconds", r.interp_span},
+         {"predicted_simd_span_seconds", r.predicted_span},
+         {"measured_simd_span_seconds", r.measured_span},
+         {"relative_error", r.relative_error()}, {"pass", r.ok()}}));
+  const util::Json doc =
+      util::Json::object({{"threads", threads}, {"gate_threshold", kGateThreshold},
+                          {"models", models}, {"simd_cases", simd_cases}});
+  std::ofstream(path) << doc.dump() << "\n";
 }
 
 }  // namespace

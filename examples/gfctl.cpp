@@ -546,24 +546,26 @@ int cmd_whatif(const Args& args) {
   };
 
   if (json) {
-    std::cout << "{\"trace\": {\"ops\": " << trace.ops.size()
-              << ", \"workers\": " << trace.num_workers()
-              << ", \"spanSeconds\": " << trace.span_seconds()
-              << ", \"busySeconds\": " << trace.busy_seconds() << "},\n";
-    std::cout << " \"calibration\": {\"overheadSecondsPerOp\": "
-              << opt.overhead_seconds_per_op
-              << ", \"identityMakespanSeconds\": " << baseline.makespan_seconds
-              << ", \"identityRelativeError\": " << identity_error << "},\n";
-    std::cout << " \"whatif\": {\"transform\": \"" << transform_desc
-              << "\", \"ops\": " << t.ops.size()
-              << ", \"predictedMakespanSeconds\": " << predicted.makespan_seconds
-              << ", \"predictedSpeedup\": " << speedup
-              << ", \"criticalPathSeconds\": " << predicted.critical_path_seconds
-              << ", \"criticalPath\": [";
-    const auto names = path_names(predicted, t);
-    for (std::size_t i = 0; i < names.size(); ++i)
-      std::cout << (i ? ", " : "") << '"' << names[i] << '"';
-    std::cout << "]}}\n";
+    util::Json critical_path = util::Json::array();
+    for (const std::string& name : path_names(predicted, t))
+      critical_path.push_back(name);
+    const util::Json out = util::Json::object(
+        {{"trace", util::Json::object({{"ops", trace.ops.size()},
+                                       {"workers", trace.num_workers()},
+                                       {"spanSeconds", trace.span_seconds()},
+                                       {"busySeconds", trace.busy_seconds()}})},
+         {"calibration",
+          util::Json::object({{"overheadSecondsPerOp", opt.overhead_seconds_per_op},
+                              {"identityMakespanSeconds", baseline.makespan_seconds},
+                              {"identityRelativeError", identity_error}})},
+         {"whatif",
+          util::Json::object({{"transform", transform_desc},
+                              {"ops", t.ops.size()},
+                              {"predictedMakespanSeconds", predicted.makespan_seconds},
+                              {"predictedSpeedup", speedup},
+                              {"criticalPathSeconds", predicted.critical_path_seconds},
+                              {"criticalPath", critical_path}})}});
+    std::cout << out.dump() << "\n";
     return 0;
   }
 
@@ -644,12 +646,9 @@ int cmd_lint(const Args& args) {
   }
 
   if (json) {
-    std::cout << '[';
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (i) std::cout << ", ";
-      results[i].print_json(std::cout);
-    }
-    std::cout << "]\n";
+    util::Json reports = util::Json::array();
+    for (const auto& r : results) reports.push_back(r.to_json());
+    std::cout << reports.dump() << "\n";
   } else {
     for (const auto& r : results) r.print_text(std::cout);
   }

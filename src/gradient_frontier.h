@@ -49,6 +49,7 @@
 #include "src/serve/service.h"
 #include "src/symbolic/expr.h"
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/verify/pass.h"
 #include "src/whatif/resim.h"

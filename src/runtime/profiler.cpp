@@ -1,41 +1,14 @@
 #include "src/runtime/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <limits>
 #include <ostream>
 #include <vector>
 
 #include "src/util/format.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace gf::rt {
-namespace {
-
-/// Minimal JSON string escaping for op names (quotes, backslash, control).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void ProfileReport::add(ir::OpType type, double flops, double bytes, double seconds) {
   OpTypeProfile& p = per_type[type];
@@ -77,39 +50,37 @@ void ProfileReport::print(std::ostream& os) const {
 
 void ProfileReport::write_chrome_trace(std::ostream& os) const {
   // Timestamps and byte/FLOP counts must survive a write -> load round trip
-  // (whatif::load_trace re-simulates from them), so print doubles at full
-  // precision for the duration of this call.
-  const std::streamsize saved_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
-  os << "{\"displayTimeUnit\":\"ms\",\"gfTraceVersion\":" << kGfTraceVersion
-     << ",\"wallSeconds\":" << wall_seconds << ",\"traceEvents\":[";
-  bool first = true;
+  // (whatif::load_trace re-simulates from them); util::Json prints every
+  // double at full precision.
+  util::Json events = util::Json::array();
   for (const TimelineEvent& e : timeline) {
-    if (!first) os << ",";
-    first = false;
-    // tid 0 = dispatcher/caller thread, 1..N = pool workers.
-    os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-       << (e.category.empty() ? ir::op_type_name(e.type) : json_escape(e.category).c_str())
-       << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-       << (e.worker + 1) << ",\"ts\":" << e.start_seconds * 1e6
-       << ",\"dur\":" << (e.end_seconds - e.start_seconds) * 1e6
-       << ",\"args\":{\"op_index\":" << e.op_index << ",\"flops\":" << e.flops
-       << ",\"bytes\":" << e.bytes << ",\"gflops\":" << e.achieved_gflops();
-    os << ",\"deps\":[";
-    for (std::size_t i = 0; i < e.deps.size(); ++i)
-      os << (i ? "," : "") << e.deps[i];
-    os << "]";
+    util::Json deps = util::Json::array();
+    for (const std::size_t d : e.deps) deps.push_back(d);
+    util::Json args = util::Json::object({{"op_index", e.op_index}, {"flops", e.flops},
+                                          {"bytes", e.bytes},
+                                          {"gflops", e.achieved_gflops()},
+                                          {"deps", deps}});
     // Optional args keep gfTraceVersion stable: old traces simply lack them
     // and the loader defaults the field.
-    if (!e.kernel_class.empty())
-      os << ",\"kernel_class\":\"" << json_escape(e.kernel_class) << "\"";
-    if (e.slab_offset >= 0)
-      os << ",\"slab_offset\":" << e.slab_offset
-         << ",\"reuse_generation\":" << e.reuse_generation;
-    os << "}}";
+    if (!e.kernel_class.empty()) args.set("kernel_class", e.kernel_class);
+    if (e.slab_offset >= 0) {
+      args.set("slab_offset", e.slab_offset);
+      args.set("reuse_generation", e.reuse_generation);
+    }
+    // tid 0 = dispatcher/caller thread, 1..N = pool workers.
+    util::Json event = util::Json::object(
+        {{"name", e.name},
+         {"cat", e.category.empty() ? ir::op_type_name(e.type) : e.category},
+         {"ph", "X"}, {"pid", 0}, {"tid", e.worker + 1}, {"ts", e.start_seconds * 1e6},
+         {"dur", (e.end_seconds - e.start_seconds) * 1e6}});
+    event.set("args", std::move(args));
+    events.push_back(std::move(event));
   }
-  os << "]}\n";
-  os.precision(saved_precision);
+  util::Json doc =
+      util::Json::object({{"displayTimeUnit", "ms"}, {"gfTraceVersion", kGfTraceVersion},
+                          {"wallSeconds", wall_seconds}});
+  doc.set("traceEvents", std::move(events));
+  os << doc.dump() << "\n";
 }
 
 }  // namespace gf::rt

@@ -1,82 +1,11 @@
-// Minimal JSON value type for the serve protocol.
-//
-// The server speaks line-delimited JSON, and its responses must be
-// *byte-deterministic*: serve_bench's cross-thread-count gate diffs raw
-// response bytes, so rendering cannot depend on hash-map iteration order
-// or locale. This Json keeps object members in insertion order (handlers
-// build responses field-by-field, deterministically), renders numbers
-// with a fixed rule (integers within 2^53 exactly, everything else
-// %.17g so doubles round-trip), and escapes strings with the same table
-// as verify::json_escape. The parser is a strict recursive-descent
-// implementation with a depth limit, so malformed or adversarial request
-// lines throw std::invalid_argument instead of crashing the server.
+// The serve protocol's JSON type is util::Json (src/util/json.h). This
+// alias remains for perfbench/, whose sources include it by this path.
 #pragma once
 
-#include <cstddef>
-#include <string>
-#include <utility>
-#include <vector>
+#include "src/util/json.h"
 
 namespace gf::serve {
 
-class Json {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Json() = default;  // null
-  Json(bool b) : kind_(Kind::kBool), bool_(b) {}
-  Json(double n) : kind_(Kind::kNumber), number_(n) {}
-  Json(int n) : kind_(Kind::kNumber), number_(n) {}
-  Json(std::size_t n) : kind_(Kind::kNumber), number_(static_cast<double>(n)) {}
-  Json(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}
-  Json(const char* s) : kind_(Kind::kString), string_(s) {}
-
-  static Json array() { Json j; j.kind_ = Kind::kArray; return j; }
-  static Json object() { Json j; j.kind_ = Kind::kObject; return j; }
-
-  /// Parses one JSON document (must consume the whole input, trailing
-  /// whitespace aside). Throws std::invalid_argument with a byte offset
-  /// on malformed input; nesting beyond 64 levels is rejected.
-  static Json parse(const std::string& text);
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  /// Checked accessors; throw std::invalid_argument on kind mismatch.
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-  const std::vector<Json>& items() const;
-  const std::vector<std::pair<std::string, Json>>& members() const;
-
-  /// Object lookup; nullptr when absent or not an object.
-  const Json* find(const std::string& key) const;
-
-  /// Convenience lookups with defaults (absent or wrong-kind -> fallback).
-  double number_or(const std::string& key, double fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
-  std::string string_or(const std::string& key, const std::string& fallback) const;
-
-  /// Object building: appends (insertion order is the render order).
-  Json& set(const std::string& key, Json value);
-  /// Array building.
-  Json& push_back(Json value);
-
-  /// Compact deterministic rendering (no whitespace, one line).
-  std::string dump() const;
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> items_;
-  std::vector<std::pair<std::string, Json>> members_;
-};
+using Json = util::Json;
 
 }  // namespace gf::serve

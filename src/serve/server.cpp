@@ -19,24 +19,40 @@ std::size_t run_server(std::istream& in, std::ostream& out, AnalysisService& ser
   std::map<std::size_t, std::string> ready;  // ticket -> response
   std::size_t next_write = 0;
   std::size_t in_flight = 0;
+  bool writing = false;
 
-  // Only the reader thread touches `out`; workers hand finished responses
-  // back through `ready` and the reader flushes the contiguous prefix.
-  // That single-writer rule plus ticket ordering is what makes the output
-  // byte stream independent of worker count and completion order.
-  const auto flush_ready = [&](std::unique_lock<std::mutex>& lock) {
-    while (true) {
-      const auto it = ready.find(next_write);
-      if (it == ready.end()) break;
-      const std::string line = std::move(it->second);
-      ready.erase(it);
-      ++next_write;
+  // The worker that completes ticket `next_write` writes the contiguous
+  // ready prefix, so a reply goes out as soon as every earlier one has,
+  // without waiting for more input. `writing` admits one writer at a time;
+  // it re-checks `ready` before it stops, so a reply completed meanwhile
+  // by another worker is not left behind. One writer plus ticket order is
+  // what makes the output byte stream independent of worker count and
+  // completion order.
+  const auto write_ready = [&](std::unique_lock<std::mutex>& lock) {
+    if (writing) return;
+    writing = true;
+    for (;;) {
+      std::string batch;
+      for (auto it = ready.begin(); it != ready.end() && it->first == next_write;
+           it = ready.erase(it)) {
+        batch += it->second;
+        batch += '\n';
+        ++next_write;
+        --in_flight;
+      }
+      if (batch.empty()) break;
       lock.unlock();  // stream I/O outside the lock
-      out << line << '\n';
+      out << batch;
+      out.flush();
       lock.lock();
     }
-    out.flush();
+    writing = false;
+    progress.notify_all();  // under the lock: the reader may return right after
   };
+
+  // A stream tied to `out` (std::cin is tied to std::cout) would flush
+  // `out` from this thread on every read, racing the writing worker.
+  std::ostream* const tied = in.tie(nullptr);
 
   std::size_t served = 0;
   std::string line;
@@ -50,22 +66,15 @@ std::size_t run_server(std::istream& in, std::ostream& out, AnalysisService& ser
     }
     pool.submit([&, ticket, request = std::move(line)] {
       std::string response = service.handle(request);
-      {
-        std::lock_guard lock(mutex);
-        ready.emplace(ticket, std::move(response));
-        --in_flight;
-      }
-      progress.notify_all();
-    });
-    {
       std::unique_lock lock(mutex);
-      flush_ready(lock);
-    }
+      ready.emplace(ticket, std::move(response));
+      write_ready(lock);
+    });
   }
 
   std::unique_lock lock(mutex);
-  progress.wait(lock, [&] { return in_flight == 0; });
-  flush_ready(lock);
+  progress.wait(lock, [&] { return next_write == served && !writing; });
+  in.tie(tied);
   return served;
 }
 

@@ -6,6 +6,9 @@
 // reorder buffer but buys the protocol's strongest property for free:
 // the byte stream a given request sequence produces is identical for any
 // worker count (serve_bench's determinism gate diffs entire streams).
+// A reply is written and flushed as soon as it and every earlier reply
+// are done, so an interactive client never has to send more input to see
+// it. While the loop runs, `in` is untied from any output stream.
 //
 // Backpressure: at most `max_in_flight` requests are admitted at once;
 // the reader blocks (rather than buffering unboundedly) when clients
@@ -27,7 +30,8 @@ struct ServerOptions {
   std::size_t max_in_flight = 64;
 };
 
-/// Runs the serve loop until `in` is exhausted; returns requests served.
+/// Runs the serve loop until `in` is exhausted and every reply is written;
+/// returns requests served.
 /// Blank lines are ignored. Every non-blank line yields exactly one
 /// response line (AnalysisService::handle never throws), so the loop
 /// itself only ends at EOF — a malformed request cannot kill the server.

@@ -13,6 +13,9 @@
 #include "src/whatif/transform.h"
 
 namespace gf::serve {
+
+using util::Json;
+
 namespace {
 
 using analysis::stages::CountResult;
@@ -292,20 +295,17 @@ Json AnalysisService::do_lint(const Json& req) {
     }
 
   const std::uint64_t key = ir::fnv1a64_mix(model->graph_hash, passes_key);
-  const auto report = cache_.get_or_compute<std::string>("lint", key, [&] {
-    const verify::VerifyResult result = verify::verify_graph(*model->graph, options);
-    std::ostringstream os;
-    result.print_json(os);
-    return std::make_shared<std::string>(os.str());
+  const auto result = cache_.get_or_compute<verify::VerifyResult>("lint", key, [&] {
+    return std::make_shared<verify::VerifyResult>(
+        verify::verify_graph(*model->graph, options));
   });
 
-  const Json parsed = Json::parse(*report);
   Json out = Json::object();
   out.set("kind", Json("lint"));
   out.set("graph_hash", Json(hash_hex(model->graph_hash)));
-  out.set("errors", Json(parsed.number_or("errors", 0)));
-  out.set("warnings", Json(parsed.number_or("warnings", 0)));
-  out.set("report", parsed);
+  out.set("errors", Json(result->count(verify::Severity::kError)));
+  out.set("warnings", Json(result->count(verify::Severity::kWarning)));
+  out.set("report", result->to_json());
   return out;
 }
 

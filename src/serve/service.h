@@ -32,7 +32,7 @@
 #include "src/analysis/stages.h"
 #include "src/concurrency/thread_pool.h"
 #include "src/serve/cache.h"
-#include "src/serve/json.h"
+#include "src/util/json.h"
 
 namespace gf::serve {
 
@@ -70,21 +70,21 @@ class AnalysisService {
     std::uint64_t graph_hash = 0;
   };
 
-  std::shared_ptr<const LoadedModel> resolve_model(const Json& req);
+  std::shared_ptr<const LoadedModel> resolve_model(const util::Json& req);
   std::shared_ptr<const analysis::stages::CountResult> counts_for(
       const LoadedModel& model);
 
-  Json dispatch(const Json& req);
-  Json do_characterize(const Json& req);
-  Json do_sweep(const Json& req);
-  Json do_lint(const Json& req);
-  Json do_memplan(const Json& req);
-  Json do_whatif_scale(const Json& req);
-  Json do_stats();
+  util::Json dispatch(const util::Json& req);
+  util::Json do_characterize(const util::Json& req);
+  util::Json do_sweep(const util::Json& req);
+  util::Json do_lint(const util::Json& req);
+  util::Json do_memplan(const util::Json& req);
+  util::Json do_whatif_scale(const util::Json& req);
+  util::Json do_stats();
 
   /// Characterization row shared by characterize and sweep.
-  Json project_point(const LoadedModel& model, double hidden, double batch,
-                     bool footprint);
+  util::Json project_point(const LoadedModel& model, double hidden, double batch,
+                           bool footprint);
 
   conc::ThreadPool* pool_;
   StageCache cache_;

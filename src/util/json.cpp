@@ -1,12 +1,13 @@
-#include "src/serve/json.h"
+#include "src/util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
-namespace gf::serve {
+namespace gf::util {
 namespace {
 
 constexpr int kMaxDepth = 64;
@@ -15,7 +16,9 @@ constexpr int kMaxDepth = 64;
   throw std::invalid_argument("json: " + what + " at byte " + std::to_string(pos));
 }
 
-class Parser {
+}  // namespace
+
+class Json::Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
@@ -78,6 +81,7 @@ class Parser {
   Json parse_object(int depth) {
     expect('{');
     Json obj = Json::object();
+    Members& members = std::get<Members>(obj.value_);
     skip_ws();
     if (peek() == '}') { ++pos_; return obj; }
     for (;;) {
@@ -85,7 +89,9 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(std::move(key), parse_value(depth + 1));
+      // Appended unchecked: set()'s duplicate scan would make a hostile
+      // object of n keys cost O(n^2).
+      members.emplace_back(std::move(key), parse_value(depth + 1));
       skip_ws();
       const char c = peek();
       if (c == ',') { ++pos_; continue; }
@@ -197,6 +203,8 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+namespace {
+
 void render_string(const std::string& s, std::string& out) {
   out += '"';
   for (const char c : s) {
@@ -228,16 +236,14 @@ void render_number(double v, std::string& out) {
   }
   // Integers inside the exactly-representable range print without a
   // mantissa so counters look like counters; %.17g for everything else
-  // keeps doubles bit-round-trippable. Both forms are locale-independent.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    out += buf;
-    return;
-  }
+  // keeps doubles bit-round-trippable. to_chars spells both exactly as
+  // printf does, without its locale.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  const bool integral = v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void render(const Json& j, std::string& out) {
@@ -281,67 +287,75 @@ void render(const Json& j, std::string& out) {
 
 Json Json::parse(const std::string& text) { return Parser(text).parse_document(); }
 
+Json Json::object(std::initializer_list<std::pair<std::string, Json>> members) {
+  Json j = object();
+  for (const auto& [key, value] : members) j.set(key, value);
+  return j;
+}
+
 bool Json::as_bool() const {
-  if (kind_ != Kind::kBool) kind_error("a bool");
-  return bool_;
+  if (!is_bool()) kind_error("a bool");
+  return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
-  if (kind_ != Kind::kNumber) kind_error("a number");
-  return number_;
+  if (!is_number()) kind_error("a number");
+  return std::get<double>(value_);
 }
 
 const std::string& Json::as_string() const {
-  if (kind_ != Kind::kString) kind_error("a string");
-  return string_;
+  if (!is_string()) kind_error("a string");
+  return std::get<std::string>(value_);
 }
 
-const std::vector<Json>& Json::items() const {
-  if (kind_ != Kind::kArray) kind_error("an array");
-  return items_;
+const Json::Array& Json::items() const {
+  if (!is_array()) kind_error("an array");
+  return std::get<Array>(value_);
 }
 
-const std::vector<std::pair<std::string, Json>>& Json::members() const {
-  if (kind_ != Kind::kObject) kind_error("an object");
-  return members_;
+const Json::Members& Json::members() const {
+  if (!is_object()) kind_error("an object");
+  return std::get<Members>(value_);
 }
 
 const Json* Json::find(const std::string& key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : members_)
-    if (k == key) return &v;
+  if (!is_object()) return nullptr;
+  const Members& members = std::get<Members>(value_);
+  for (auto it = members.rbegin(); it != members.rend(); ++it)
+    if (it->first == key) return &it->second;
   return nullptr;
 }
 
 double Json::number_or(const std::string& key, double fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_number() ? v->number_ : fallback;
+  return v != nullptr && v->is_number() ? v->as_number() : fallback;
 }
 
 bool Json::bool_or(const std::string& key, bool fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_bool() ? v->bool_ : fallback;
+  return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
 
 std::string Json::string_or(const std::string& key, const std::string& fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_string() ? v->string_ : fallback;
+  return v != nullptr && v->is_string() ? v->as_string() : fallback;
 }
 
 Json& Json::set(const std::string& key, Json value) {
-  if (kind_ != Kind::kObject) kind_error("an object");
-  for (auto& [k, v] : members_)
-    if (k == key) {
-      v = std::move(value);
+  if (!is_object()) kind_error("an object");
+  Members& members = std::get<Members>(value_);
+  for (auto it = members.rbegin(); it != members.rend(); ++it)
+    if (it->first == key) {
+      it->second = std::move(value);
       return *this;
     }
-  members_.emplace_back(key, std::move(value));
+  members.emplace_back(key, std::move(value));
   return *this;
 }
 
 Json& Json::push_back(Json value) {
-  if (kind_ != Kind::kArray) kind_error("an array");
-  items_.push_back(std::move(value));
+  if (!is_array()) kind_error("an array");
+  std::get<Array>(value_).push_back(std::move(value));
   return *this;
 }
 
@@ -351,4 +365,4 @@ std::string Json::dump() const {
   return out;
 }
 
-}  // namespace gf::serve
+}  // namespace gf::util

@@ -39,58 +39,21 @@ void VerifyResult::print_text(std::ostream& os) const {
      << " note(s) from " << passes_run.size() << " pass(es)\n";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void VerifyResult::print_json(std::ostream& os) const {
-  os << "{\"graph\": \"" << json_escape(graph_name) << "\", \"passes\": [";
-  for (std::size_t i = 0; i < passes_run.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << json_escape(passes_run[i]) << '"';
-  }
-  os << "], \"counts\": {\"error\": " << count(Severity::kError)
-     << ", \"warning\": " << count(Severity::kWarning)
-     << ", \"note\": " << count(Severity::kNote) << "}, \"diagnostics\": [";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i) os << ", ";
-    os << "{\"severity\": \"" << severity_name(d.severity) << "\", \"pass\": \""
-       << json_escape(d.pass) << "\", \"location\": \"" << json_escape(d.location)
-       << "\", \"message\": \"" << json_escape(d.message) << "\", \"fix_hint\": \""
-       << json_escape(d.fix_hint) << "\"}";
-  }
-  os << "]}";
+util::Json VerifyResult::to_json() const {
+  util::Json passes = util::Json::array();
+  for (const std::string& p : passes_run) passes.push_back(p);
+  util::Json diags = util::Json::array();
+  for (const Diagnostic& d : diagnostics)
+    diags.push_back(util::Json::object({{"severity", severity_name(d.severity)},
+                                        {"pass", d.pass},
+                                        {"location", d.location},
+                                        {"message", d.message},
+                                        {"fix_hint", d.fix_hint}}));
+  const util::Json counts = util::Json::object({{"error", count(Severity::kError)},
+                                                {"warning", count(Severity::kWarning)},
+                                                {"note", count(Severity::kNote)}});
+  return util::Json::object({{"graph", graph_name}, {"passes", passes},
+                             {"counts", counts}, {"diagnostics", diags}});
 }
 
 }  // namespace gf::verify

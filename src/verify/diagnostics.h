@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/json.h"
+
 namespace gf::verify {
 
 enum class Severity : std::uint8_t { kNote, kWarning, kError };
@@ -42,12 +44,10 @@ struct VerifyResult {
   /// Human-readable report: one diagnostic per line plus a summary.
   void print_text(std::ostream& os) const;
 
-  /// Machine-readable form; the schema is documented in the README under
-  /// "Static verification".
-  void print_json(std::ostream& os) const;
+  /// Machine-readable form, shared by `gfctl lint --json` and serve's
+  /// lint response; the schema is documented in the README under "Static
+  /// verification".
+  util::Json to_json() const;
 };
-
-/// Escapes a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
 
 }  // namespace gf::verify

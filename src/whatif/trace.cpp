@@ -1,205 +1,47 @@
 #include "src/whatif/trace.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <map>
-#include <memory>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-#include <variant>
+
+#include "src/util/json.h"
 
 namespace gf::whatif {
 namespace {
 
-// --- minimal JSON reader ----------------------------------------------------
-//
-// The loader only has to read what write_chrome_trace writes (plus
-// hand-edited fixtures), but it parses general JSON so a trace touched by
-// other tools still loads. Errors carry a byte offset.
+using util::Json;
 
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue, std::less<>>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> v =
-      nullptr;
-
-  bool is_number() const { return std::holds_alternative<double>(v); }
-  bool is_string() const { return std::holds_alternative<std::string>(v); }
-  bool is_array() const { return std::holds_alternative<JsonArray>(v); }
-  bool is_object() const { return std::holds_alternative<JsonObject>(v); }
-  double number() const { return std::get<double>(v); }
-  const std::string& string() const { return std::get<std::string>(v); }
-  const JsonArray& array() const { return std::get<JsonArray>(v); }
-  const JsonObject& object() const { return std::get<JsonObject>(v); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("whatif trace: " + what + " (at byte " +
-                             std::to_string(pos_) + ")");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "', got '" + peek() + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return JsonValue{parse_string()};
-      case 't': parse_literal("true"); return JsonValue{true};
-      case 'f': parse_literal("false"); return JsonValue{false};
-      case 'n': parse_literal("null"); return JsonValue{nullptr};
-      default: return JsonValue{parse_number()};
-    }
-  }
-
-  void parse_literal(const char* lit) {
-    skip_ws();
-    for (const char* p = lit; *p != '\0'; ++p, ++pos_)
-      if (pos_ >= text_.size() || text_[pos_] != *p)
-        fail(std::string("invalid literal (expected ") + lit + ")");
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) fail("invalid number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return value;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9')
-              code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("invalid \\u escape");
-          }
-          // Op names are ASCII; non-ASCII code points round-trip as '?'.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonArray items;
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue{std::move(items)};
-    }
-    while (true) {
-      items.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return JsonValue{std::move(items)};
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonObject fields;
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue{std::move(fields)};
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      fields.emplace(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return JsonValue{std::move(fields)};
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue* find(const JsonObject& obj, const std::string& key) {
-  auto it = obj.find(key);
-  return it == obj.end() ? nullptr : &it->second;
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("whatif trace: " + what);
 }
 
-double require_number(const JsonObject& obj, const std::string& key,
-                      const std::string& context) {
-  const JsonValue* v = find(obj, key);
+/// The numeric field `key` of `obj`; throws naming `context` if absent.
+const Json& number_field(const Json& obj, const char* key, const std::string& context) {
+  const Json* v = obj.find(key);
   if (v == nullptr || !v->is_number())
-    throw std::runtime_error("whatif trace: " + context + " is missing numeric field '" +
-                             key + "'");
-  return v->number();
+    fail(context + " is missing numeric field '" + key + "'");
+  return *v;
 }
+
+/// `v`, the `field` of `context`, as an integer in [lo, hi]. Fractions,
+/// non-finite and out-of-range values are rejected because converting them
+/// would be undefined.
+double integer_in(const Json& v, double lo, double hi, const std::string& context,
+                  const char* field) {
+  const double x = v.is_number() ? v.as_number() : std::nan("");
+  if (!(x >= lo && x <= hi && x == std::floor(x)))
+    fail(context + " " + field + " must be an integer in [" + Json(lo).dump() + ", " +
+         Json(hi).dump() + "], got " + v.dump());
+  return x;
+}
+
+/// Op indices are exact in a double up to 2^53; no real trace comes close.
+constexpr double kMaxIndex = 9007199254740992.0;
 
 }  // namespace
 
@@ -283,75 +125,65 @@ Trace from_report(const rt::ProfileReport& report) {
 Trace load_trace(std::istream& is) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  JsonParser parser(buffer.str());
-  const JsonValue root = parser.parse();
-  if (!root.is_object())
-    throw std::runtime_error("whatif trace: top level is not a JSON object");
-  const JsonObject& top = root.object();
+  Json root;
+  try {
+    root = Json::parse(buffer.str());
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
+  if (!root.is_object()) fail("top level is not a JSON object");
 
-  const JsonValue* version = find(top, "gfTraceVersion");
+  const Json* version = root.find("gfTraceVersion");
   if (version == nullptr || !version->is_number())
-    throw std::runtime_error(
-        "whatif trace: missing \"gfTraceVersion\" — this file predates the "
-        "replayable trace format (re-export with gfctl trace)");
-  const int v = static_cast<int>(version->number());
-  if (v != rt::kGfTraceVersion)
-    throw std::runtime_error("whatif trace: unknown gfTraceVersion " +
-                             std::to_string(v) + " (this build reads version " +
-                             std::to_string(rt::kGfTraceVersion) + ")");
+    fail("missing \"gfTraceVersion\" — this file predates the replayable trace format "
+         "(re-export with gfctl trace)");
+  if (version->as_number() != rt::kGfTraceVersion)
+    fail("unknown gfTraceVersion " + version->dump() + " (this build reads version " +
+         std::to_string(rt::kGfTraceVersion) + ")");
 
-  const JsonValue* events = find(top, "traceEvents");
-  if (events == nullptr || !events->is_array())
-    throw std::runtime_error("whatif trace: missing \"traceEvents\" array");
+  const Json* events = root.find("traceEvents");
+  if (events == nullptr || !events->is_array()) fail("missing \"traceEvents\" array");
 
   Trace trace;
-  trace.version = v;
-  if (const JsonValue* wall = find(top, "wallSeconds"); wall != nullptr && wall->is_number())
-    trace.wall_seconds = wall->number();
+  trace.wall_seconds = root.number_or("wallSeconds", 0);
 
   // Events may arrive in any order; op_index in args fixes the position.
   std::vector<std::pair<std::size_t, TraceOp>> indexed;
-  indexed.reserve(events->array().size());
-  for (const JsonValue& ev : events->array()) {
-    if (!ev.is_object())
-      throw std::runtime_error("whatif trace: traceEvents entry is not an object");
-    const JsonObject& e = ev.object();
+  indexed.reserve(events->items().size());
+  for (const Json& e : events->items()) {
+    if (!e.is_object()) fail("traceEvents entry is not an object");
     // Skip non-span events (metadata rows other tools may add).
-    if (const JsonValue* ph = find(e, "ph"); ph != nullptr && ph->is_string() &&
-                                             ph->string() != "X")
-      continue;
-    const JsonValue* args_v = find(e, "args");
-    if (args_v == nullptr || !args_v->is_object())
-      throw std::runtime_error("whatif trace: event is missing its \"args\" object");
-    const JsonObject& args = args_v->object();
+    if (e.string_or("ph", "X") != "X") continue;
+    const Json* args = e.find("args");
+    if (args == nullptr || !args->is_object())
+      fail("event is missing its \"args\" object");
 
     TraceOp op;
-    if (const JsonValue* name = find(e, "name"); name != nullptr && name->is_string())
-      op.name = name->string();
-    if (const JsonValue* cat = find(e, "cat"); cat != nullptr && cat->is_string())
-      op.type = cat->string();
-    op.worker = static_cast<int>(require_number(e, "tid", "event '" + op.name + "'")) - 1;
-    const double ts = require_number(e, "ts", "event '" + op.name + "'");
-    const double dur = require_number(e, "dur", "event '" + op.name + "'");
+    op.name = e.string_or("name", "");
+    op.type = e.string_or("cat", "");
+    const std::string context = "event '" + op.name + "'";
+    // tid 0 is the caller thread (worker -1); the bounds keep tid - 1 an int.
+    const double tid = integer_in(number_field(e, "tid", context),
+                                  std::numeric_limits<int>::min() + 1.0,
+                                  std::numeric_limits<int>::max(), context, "tid");
+    op.worker = static_cast<int>(tid) - 1;
+    const double ts = number_field(e, "ts", context).as_number();
+    const double dur = number_field(e, "dur", context).as_number();
     op.start_seconds = ts / 1e6;
     op.end_seconds = (ts + dur) / 1e6;
-    op.flops = require_number(args, "flops", "event '" + op.name + "'");
-    op.bytes = require_number(args, "bytes", "event '" + op.name + "'");
+    op.flops = number_field(*args, "flops", context).as_number();
+    op.bytes = number_field(*args, "bytes", context).as_number();
     // Optional: absent in traces written before the runtime tagged classes.
-    if (const JsonValue* kc = find(args, "kernel_class");
-        kc != nullptr && kc->is_string())
-      op.kernel_class = kc->string();
-    const double index = require_number(args, "op_index", "event '" + op.name + "'");
+    op.kernel_class = args->string_or("kernel_class", "");
+    const double index = integer_in(number_field(*args, "op_index", context), 0, kMaxIndex,
+                                    context, "op_index");
 
-    const JsonValue* deps = find(args, "deps");
+    const Json* deps = args->find("deps");
     if (deps == nullptr || !deps->is_array())
-      throw std::runtime_error("whatif trace: event '" + op.name +
-                               "' has no \"deps\" list — the trace is not replayable");
-    for (const JsonValue& d : deps->array()) {
-      if (!d.is_number())
-        throw std::runtime_error("whatif trace: non-numeric dep on '" + op.name + "'");
-      op.deps.push_back(static_cast<std::size_t>(d.number()));
-    }
+      fail(context + " has no \"deps\" list — the trace is not replayable");
+    for (const Json& d : deps->items())
+      op.deps.push_back(
+          static_cast<std::size_t>(integer_in(d, 0, kMaxIndex, context, "dep")));
     indexed.emplace_back(static_cast<std::size_t>(index), std::move(op));
   }
 
@@ -360,8 +192,8 @@ Trace load_trace(std::istream& is) {
   trace.ops.reserve(indexed.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
     if (indexed[i].first != i)
-      throw std::runtime_error("whatif trace: op_index values are not the dense range 0.." +
-                               std::to_string(indexed.size() - 1));
+      fail("op_index values are not the dense range 0.." +
+           std::to_string(indexed.size() - 1));
     trace.ops.push_back(std::move(indexed[i].second));
   }
   validate_trace(trace);

@@ -73,7 +73,8 @@ Trace from_report(const rt::ProfileReport& report);
 
 /// Parses Chrome-trace JSON as written by ProfileReport::write_chrome_trace.
 /// Throws std::runtime_error with a specific message on malformed JSON, a
-/// missing or unknown "gfTraceVersion", or an invalid dependency graph.
+/// missing or unknown "gfTraceVersion", a tid, op_index or dep that is not
+/// an integer in range, or an invalid dependency graph.
 Trace load_trace(std::istream& is);
 Trace load_trace_file(const std::string& path);
 

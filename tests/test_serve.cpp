@@ -6,10 +6,19 @@
 // the data-race regression net for the whole serve stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <istream>
 #include <memory>
+#include <mutex>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +37,7 @@ namespace gf::serve {
 namespace {
 
 using sym::Expr;
+using util::Json;
 
 /// Small training-step MLP over the standard model symbols, serialized —
 /// a cheap stand-in for a client-submitted graph. Symbols match
@@ -272,6 +282,143 @@ TEST(Serve, OutputStreamIsIdenticalForAnyWorkerCount) {
   EXPECT_EQ(streams[2], streams[0]);
 }
 
+/// Input side of an interactive client: a byte pipe whose reader blocks
+/// until the writer adds data or closes it.
+class PipeIn : public std::streambuf {
+ public:
+  void write(const std::string& s) {
+    std::lock_guard lock(mutex_);
+    data_ += s;
+    ready_.notify_all();
+  }
+  void close() {
+    std::lock_guard lock(mutex_);
+    closed_ = true;
+    ready_.notify_all();
+  }
+
+ protected:
+  int_type underflow() override {
+    std::unique_lock lock(mutex_);
+    ready_.wait(lock, [&] { return pos_ < data_.size() || closed_; });
+    if (pos_ >= data_.size()) return traits_type::eof();
+    chunk_ = data_.substr(pos_);
+    pos_ = data_.size();
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::string data_;
+  std::size_t pos_ = 0;
+  bool closed_ = false;
+  std::string chunk_;  ///< current get area (reader thread only)
+};
+
+/// Output side: collects bytes and wakes a waiter per completed line.
+class LineSink : public std::streambuf {
+ public:
+  /// Waits until at least `n` lines arrived or the timeout passed.
+  bool wait_lines(std::size_t n, std::chrono::seconds timeout) {
+    std::unique_lock lock(mutex_);
+    return ready_.wait_for(lock, timeout, [&] { return lines_ >= n; });
+  }
+  std::string text() {
+    std::lock_guard lock(mutex_);
+    return buffer_;
+  }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::lock_guard lock(mutex_);
+    buffer_.append(s, static_cast<std::size_t>(n));
+    lines_ += static_cast<std::size_t>(std::count(s, s + n, '\n'));
+    ready_.notify_all();
+    return n;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::string buffer_;
+  std::size_t lines_ = 0;
+};
+
+TEST(Serve, RepliesWithoutWaitingForMoreInput) {
+  // An interactive client writes a request and waits for its reply before
+  // it sends the next one; the server must not hold the reply until more
+  // input or end of input arrives.
+  const std::string graph_text = submitted_graph_text();
+  std::vector<std::string> lines;
+  for (const double hidden : {32.0, 64.0}) {
+    Json req = Json::object();
+    req.set("kind", Json("characterize"));
+    req.set("graph", Json(graph_text));
+    req.set("hidden", Json(hidden));
+    req.set("batch", Json(8.0));
+    lines.push_back(req.dump());
+  }
+
+  conc::ThreadPool pool(2);
+  AnalysisService service(pool);
+  PipeIn pipe_in;
+  LineSink sink;
+  std::istream in(&pipe_in);
+  std::ostream out(&sink);
+  std::thread server([&] { run_server(in, out, service, pool); });
+  pipe_in.write(lines[0] + "\n");
+  const bool first_replied = sink.wait_lines(1, std::chrono::seconds(60));
+  pipe_in.write(lines[1] + "\n");
+  const bool second_replied = sink.wait_lines(2, std::chrono::seconds(60));
+  pipe_in.close();
+  server.join();
+
+  EXPECT_TRUE(first_replied) << "the first reply waited for the second request";
+  EXPECT_TRUE(second_replied);
+  EXPECT_EQ(sink.text(),
+            service.handle(lines[0]) + "\n" + service.handle(lines[1]) + "\n");
+}
+
+TEST(Serve, LintCountsMatchTheReportForEveryCorpusFile) {
+  // Every file of the seeded-defect corpus carries at least one error;
+  // the response's top-level counts must agree with its own report.
+  conc::ThreadPool pool(1);
+  AnalysisService service(pool);
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(GF_TEST_DATA_DIR) + "/lint")) {
+    if (entry.path().extension() != ".txt") continue;
+    ++files;
+    std::ifstream file(entry.path());
+    std::ostringstream text;
+    text << file.rdbuf();
+    Json req = Json::object();
+    req.set("kind", Json("lint"));
+    req.set("graph", Json(text.str()));
+    const Json response = Json::parse(service.handle(req.dump()));
+    const std::string name = entry.path().filename().string();
+    ASSERT_TRUE(response.bool_or("ok", false)) << name << ": " << response.dump();
+    const Json* report = response.find("report");
+    ASSERT_NE(report, nullptr) << name;
+    const Json* counts = report->find("counts");
+    ASSERT_NE(counts, nullptr) << name;
+    EXPECT_EQ(response.number_or("errors", -1), counts->number_or("error", -2)) << name;
+    EXPECT_EQ(response.number_or("warnings", -1), counts->number_or("warning", -2))
+        << name;
+    EXPECT_GT(response.number_or("errors", 0), 0) << name;
+  }
+  EXPECT_GT(files, 0u);
+}
+
 TEST(Serve, PreloadWarmsParseAndCountStages) {
   const std::string graph_text = submitted_graph_text();
   conc::ThreadPool pool(1);
@@ -321,9 +468,31 @@ TEST(ServeJson, RoundTripsAndRejectsMalformed) {
   obj.set("n", Json(1234567.0));
   obj.set("f", Json(0.5));
   EXPECT_EQ(obj.dump(), "{\"n\":1234567,\"f\":0.5}");
+  // Repeated keys parse in linear time and stay in the document; lookups
+  // and set() see the last one.
+  Json dup = Json::parse("{\"k\":1,\"j\":0,\"k\":2}");
+  EXPECT_EQ(dup.number_or("k", 0), 2.0);
+  dup.set("k", Json(3));
+  EXPECT_EQ(dup.dump(), "{\"k\":1,\"j\":0,\"k\":3}");
   EXPECT_THROW(Json::parse("{\"unterminated\": "), std::exception);
   EXPECT_THROW(Json::parse("[1,]"), std::exception);
   EXPECT_THROW(Json::parse(""), std::exception);
+}
+
+TEST(ServeJson, HostileObjectParsesInLinearTime) {
+  // A 1.2 MB request line of 100k distinct keys: a per-key duplicate scan
+  // makes this ~5e9 string compares (tens of seconds); linear parsing
+  // takes milliseconds, so the bound leaves room for sanitizer builds.
+  std::string text = "{";
+  for (int i = 0; i < 100000; ++i)
+    text += (i > 0 ? ",\"k" : "\"k") + std::to_string(i) + "\":0";
+  text += "}";
+  const auto t0 = std::chrono::steady_clock::now();
+  const Json doc = Json::parse(text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(doc.members().size(), 100000u);
+  EXPECT_LT(seconds, 5.0);
 }
 
 }  // namespace

@@ -86,15 +86,37 @@ TEST(VerifyEngine, CollectsFindingsAcrossPasses) {
 }
 
 TEST(VerifyEngine, JsonOutputIsWellFormedEnough) {
+  // The mutation of CollectsFindingsAcrossPasses: diagnostics from two passes.
   Mlp m;
+  ir::build_training_step(m.g, m.loss);
+  m.w1->set_shape({Expr(8), Expr(15)});
   const VerifyResult result = verify_graph(m.g);
-  std::ostringstream os;
-  result.print_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"graph\": \"mlp\""), std::string::npos);
-  EXPECT_NE(json.find("\"counts\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  ASSERT_FALSE(result.diagnostics.empty());
+
+  const util::Json json = util::Json::parse(result.to_json().dump());
+  EXPECT_EQ(json.string_or("graph", ""), "mlp");
+  const util::Json* passes = json.find("passes");
+  ASSERT_NE(passes, nullptr);
+  ASSERT_EQ(passes->items().size(), result.passes_run.size());
+  for (std::size_t i = 0; i < result.passes_run.size(); ++i)
+    EXPECT_EQ(passes->items()[i].as_string(), result.passes_run[i]);
+  const util::Json* counts = json.find("counts");
+  ASSERT_NE(counts, nullptr);
+  EXPECT_EQ(counts->number_or("error", -1), result.count(Severity::kError));
+  EXPECT_EQ(counts->number_or("warning", -1), result.count(Severity::kWarning));
+  EXPECT_EQ(counts->number_or("note", -1), result.count(Severity::kNote));
+  const util::Json* diags = json.find("diagnostics");
+  ASSERT_NE(diags, nullptr);
+  ASSERT_EQ(diags->items().size(), result.diagnostics.size());
+  for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {
+    const Diagnostic& d = result.diagnostics[i];
+    const util::Json& j = diags->items()[i];
+    EXPECT_EQ(j.string_or("severity", ""), severity_name(d.severity)) << i;
+    EXPECT_EQ(j.string_or("pass", ""), d.pass) << i;
+    EXPECT_EQ(j.string_or("location", ""), d.location) << i;
+    EXPECT_EQ(j.string_or("message", ""), d.message) << i;
+    EXPECT_EQ(j.string_or("fix_hint", ""), d.fix_hint) << i;
+  }
 }
 
 // --- compat shim -----------------------------------------------------------

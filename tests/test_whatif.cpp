@@ -314,6 +314,86 @@ TEST(WhatifLoader, RejectsStructurallyBrokenInput) {
           R"({"gfTraceVersion":1,"traceEvents":[{"name":"a","ph":"X","tid":1,)"
           R"("ts":0,"dur":1,"args":{"op_index":0,"flops":0,"bytes":0,"deps":[0]}}]})"),
       std::exception);
+  // Integers that do not fit their field: converting any of them would be
+  // undefined behaviour, so each must be rejected before the cast.
+  const auto one_event = [](const std::string& version, const std::string& tid,
+                            const std::string& op_index, const std::string& deps) {
+    return R"({"gfTraceVersion":)" + version +
+           R"(,"traceEvents":[{"name":"a","ph":"X","tid":)" + tid +
+           R"(,"ts":0,"dur":1,"args":{"op_index":)" + op_index +
+           R"(,"flops":0,"bytes":0,"deps":[)" + deps + "]}}]}";
+  };
+  EXPECT_NO_THROW(load_from_string(one_event("1", "1", "0", "")));
+  EXPECT_THROW(load_from_string(one_event("1", "-2147483648", "0", "")),
+               std::runtime_error);
+  EXPECT_THROW(load_from_string(one_event("1", "1", "-1", "")), std::runtime_error);
+  EXPECT_THROW(load_from_string(one_event("1", "1", "0", "1e300")), std::runtime_error);
+  EXPECT_THROW(load_from_string(one_event("1e300", "1", "0", "")), std::runtime_error);
+  EXPECT_THROW(load_from_string(one_event("1", "1.5", "0", "")), std::runtime_error);
+}
+
+// A hand-built report whose writer output is pinned byte for byte: the
+// Chrome-trace format is read by other tools, so a writer refactor must not
+// change a single byte. The op name carries the escapes every writer of
+// this format has spelled alike; backspace, form feed and carriage return
+// are left out (earlier writers spelled them \u00XX, util::Json \b \f \r).
+TEST(WhatifLoader, ChromeTraceBytesArePinned) {
+  rt::ProfileReport report;
+  report.wall_seconds = 3.25e-6;
+  rt::TimelineEvent a;
+  a.name = std::string("mm\"q\\b\tc\nd") + '\x01' + "e";
+  a.type = ir::OpType::kMatMul;
+  a.op_index = 0;
+  a.worker = -1;
+  a.start_seconds = 0.1e-6;
+  a.end_seconds = 1.0 / 3.0 * 1e-6;
+  a.flops = 2e6;
+  a.bytes = 1536.5;
+  a.slab_offset = 64;
+  a.reuse_generation = 2;
+  rt::TimelineEvent b;
+  b.name = "join";
+  b.type = ir::OpType::kFusedPointwise;
+  b.op_index = 1;
+  b.worker = 1;
+  b.start_seconds = 1.5e-6;
+  b.end_seconds = 2.75e-6;
+  b.flops = 1.0 / 3.0;
+  b.bytes = 4096;
+  b.kernel_class = "pointwise-simd";
+  b.deps = {0};
+  report.timeline = {a, b};
+
+  std::ostringstream os;
+  report.write_chrome_trace(os);
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","gfTraceVersion":1,)"
+      R"("wallSeconds":3.2499999999999998e-06,"traceEvents":[)"
+      R"({"name":"mm\"q\\b\tc\nd\u0001e","cat":"MatMul","ph":"X","pid":0,"tid":0,)"
+      R"("ts":0.099999999999999992,"dur":0.23333333333333331,"args":{"op_index":0,)"
+      R"("flops":2000000,"bytes":1536.5,"gflops":8571.4285714285725,"deps":[],)"
+      R"("slab_offset":64,"reuse_generation":2}},{"name":"join","cat":"FusedPointwise",)"
+      R"("ph":"X","pid":0,"tid":2,"ts":1.5,"dur":1.25,"args":{"op_index":1,)"
+      R"("flops":0.33333333333333331,"bytes":4096,"gflops":0.00026666666666666668,)"
+      R"("deps":[0],"kernel_class":"pointwise-simd"}}]})"
+      "\n";
+  EXPECT_EQ(os.str(), expected);
+
+  const whatif::Trace t = load_from_string(os.str());
+  ASSERT_EQ(t.ops.size(), 2u);
+  EXPECT_EQ(t.wall_seconds, report.wall_seconds);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const rt::TimelineEvent& e = report.timeline[i];
+    EXPECT_EQ(t.ops[i].name, e.name) << i;
+    EXPECT_EQ(t.ops[i].type, ir::op_type_name(e.type)) << i;
+    EXPECT_EQ(t.ops[i].worker, e.worker) << i;
+    EXPECT_EQ(t.ops[i].deps, e.deps) << i;
+    EXPECT_EQ(t.ops[i].kernel_class, e.kernel_class) << i;
+    EXPECT_EQ(t.ops[i].flops, e.flops) << i;
+    EXPECT_EQ(t.ops[i].bytes, e.bytes) << i;
+    EXPECT_NEAR(t.ops[i].start_seconds, e.start_seconds, 1e-18) << i;
+    EXPECT_NEAR(t.ops[i].end_seconds, e.end_seconds, 1e-18) << i;
+  }
 }
 
 // --- profiler dep edges vs the scheduler DAG --------------------------------

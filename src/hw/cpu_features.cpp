@@ -96,13 +96,12 @@ RegisterTile register_tile_rule(SimdIsa isa) {
   if (isa == SimdIsa::kScalar) return RegisterTile{4, 8};  // the seed tile
   const std::int64_t width = simd_width_floats(isa);
   const std::int64_t regs = simd_register_count(isa);
-  // B-row floats per micro-tile: whole vectors, at least 8 wide so the
-  // double accumulators pair up evenly.
+  // B-row floats per micro-tile: whole vectors, at least the seed tile's 8.
   const std::int64_t nr = std::max<std::int64_t>(8, width);
-  // Each of the mr rows keeps nr doubles live: 2*nr/width vector registers.
-  const std::int64_t acc_vecs_per_row = 2 * nr / width;
-  const std::int64_t mr =
-      std::clamp<std::int64_t>((regs - 4) / acc_vecs_per_row, 4, 8);
+  // Each of the mr rows keeps nr/width fp32 accumulator vectors live, plus
+  // one rounded-product vector per accumulator (unfused multiply, then add).
+  const std::int64_t vecs_per_row = 2 * nr / width;
+  const std::int64_t mr = std::clamp<std::int64_t>((regs - 4) / vecs_per_row, 4, 8);
   return RegisterTile{mr, nr};
 }
 

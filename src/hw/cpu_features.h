@@ -7,10 +7,10 @@
 //   - what the executing CPU supports (`cpu_features()`, probed once), and
 //   - how wide the register micro-tile of the blocked GEMM should be for a
 //     given ISA (`register_tile_rule`) — the register-file analogue of the
-//     cache-tile rule in hw/cache_model.h: the kMr x kNr double-precision
-//     accumulator block plus one broadcast A value and one packed B row
-//     must fit the architectural vector register file, exactly as the
-//     KC/MC/NC cache blocks must fit the modeled cache.
+//     cache-tile rule in hw/cache_model.h: the mr x nr fp32 accumulator
+//     block, one rounded-product register per accumulator, one broadcast A
+//     value and one packed B row must fit the architectural vector register
+//     file, exactly as the KC/MC/NC cache blocks must fit the modeled cache.
 //
 // The GF_SIMD environment variable (and programmatic overrides layered on
 // top of it in src/runtime/codegen/dispatch.h) selects which ISA the
@@ -77,12 +77,14 @@ struct RegisterTile {
 };
 
 /// Derives the register tile for an ISA from its vector geometry:
-///   nr = smallest multiple of the float lane width >= 8 (so the B row is
-///        whole vectors and the double accumulators come in pairs), and
-///   mr = clamp((regs - 4) / accumulator_vectors_per_row, 4, 8) — each of
-///        the mr rows holds nr doubles (2*nr/width vectors); 4 registers
-///        stay free for the broadcast A value, the packed B row, and the
-///        widening temporaries.
+///   nr = smallest multiple of the float lane width >= 8 (the B row is
+///        whole vectors, and each broadcast A value feeds at least the seed
+///        tile's 8 products), and
+///   mr = clamp((regs - 4) / (2*nr/width), 4, 8) — each of the mr rows
+///        holds nr/width fp32 accumulator vectors plus as many product
+///        vectors, because the micro-kernels round a*b to float before the
+///        add (no FMA) so every product is a value of its own; 4 registers
+///        stay free for the broadcast A value and the packed B row.
 /// kScalar keeps the seed 4x8 tile, preserving the pre-codegen layout.
 RegisterTile register_tile_rule(SimdIsa isa);
 

@@ -33,7 +33,7 @@ std::optional<SimdIsa>& forced_isa() {
 }
 
 using RunBlockFn = void (*)(const detail::FlatProgram&, const detail::PwArgs&);
-using GemmUkrFn = void (*)(const float*, const float*, std::int64_t, double*);
+using GemmUkrFn = void (*)(const float*, const float*, std::int64_t, float*);
 
 RunBlockFn run_block_for(SimdIsa isa) {
   switch (isa) {
@@ -85,7 +85,7 @@ hw::RegisterTile gemm_register_tile(SimdIsa isa) {
 }
 
 bool gemm_micro_kernel(SimdIsa isa, const float* a_strip, const float* b_strip,
-                       std::int64_t kc, double* acc, std::int64_t mr,
+                       std::int64_t kc, float* acc, std::int64_t mr,
                        std::int64_t nr) {
   if (!hw::isa_supported(isa)) return false;
   const GemmUkrFn fn = gemm_ukr_for(isa);

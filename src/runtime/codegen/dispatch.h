@@ -17,9 +17,11 @@
 //
 // Numerics contract (tested in test_codegen, gated in kernel_bench):
 //   - The compiled GEMM micro-kernels are bitwise-equal to the scalar one
-//     on every ISA: lanes vectorize the n-dimension, each output element
-//     still accumulates float-rounded products in double in ascending-k
-//     order, so the per-element operation sequence is unchanged.
+//     on every ISA: lanes vectorize the n-dimension, and each output
+//     element adds float-rounded products to a float accumulator in
+//     ascending-k order with no fused multiply-add, so the per-element
+//     operation sequence is unchanged. Against the double-accumulating
+//     reference_gemm the result is error-bounded, not bitwise (gemm.h).
 //   - Compiled fused-pointwise programs are bitwise-equal to the
 //     interpreter for programs built from exact IEEE ops (add, sub, mul,
 //     add_n, relu, scale, one_minus, the grads) and epsilon-bounded
@@ -65,12 +67,13 @@ bool simd_env_default();
 hw::RegisterTile gemm_register_tile(SimdIsa isa);
 
 /// Compiled GEMM micro-kernel for one packed (mr x nr) strip pair:
-/// acc[i*nr + j] += (double)(a_strip[p*mr + i] * b_strip[p*nr + j]) for p
-/// ascending — bitwise-equal to the scalar loop. `isa` must be a compiled
-/// ISA supported on this CPU and (mr, nr) must equal gemm_register_tile(isa);
-/// returns false (computing nothing) otherwise, and the caller falls back.
+/// acc[i*nr + j] = fl(acc[i*nr + j] + fl(a_strip[p*mr + i] * b_strip[p*nr + j]))
+/// for p ascending, in fp32 without FMA — bitwise-equal to the scalar
+/// loop. `isa` must be a compiled ISA supported on this CPU and (mr, nr)
+/// must equal gemm_register_tile(isa); returns false (computing nothing)
+/// otherwise, and the caller falls back.
 bool gemm_micro_kernel(SimdIsa isa, const float* a_strip, const float* b_strip,
-                       std::int64_t kc, double* acc, std::int64_t mr,
+                       std::int64_t kc, float* acc, std::int64_t mr,
                        std::int64_t nr);
 
 /// True when the vector executors can run this lowered program (the load

@@ -63,24 +63,24 @@ struct PwArgs {
 };
 
 // Per-ISA entry points (simd_body.inc instantiations). gemm_ukr_<isa>
-// updates a packed (mr x nr) double accumulator tile with the ISA's
+// updates a packed (mr x nr) fp32 accumulator tile with the ISA's
 // compile-time register tile — register_tile_rule(isa) by construction,
 // asserted in dispatch.cpp.
 void run_block_generic(const FlatProgram& fp, const PwArgs& a);
 void gemm_ukr_generic(const float* a_strip, const float* b_strip,
-                      std::int64_t kc, double* acc);
+                      std::int64_t kc, float* acc);
 #if defined(__x86_64__) || defined(__i386__)
 void run_block_avx2(const FlatProgram& fp, const PwArgs& a);
 void gemm_ukr_avx2(const float* a_strip, const float* b_strip,
-                   std::int64_t kc, double* acc);
+                   std::int64_t kc, float* acc);
 void run_block_avx512(const FlatProgram& fp, const PwArgs& a);
 void gemm_ukr_avx512(const float* a_strip, const float* b_strip,
-                     std::int64_t kc, double* acc);
+                     std::int64_t kc, float* acc);
 #endif
 #if defined(__aarch64__)
 void run_block_neon(const FlatProgram& fp, const PwArgs& a);
 void gemm_ukr_neon(const float* a_strip, const float* b_strip,
-                   std::int64_t kc, double* acc);
+                   std::int64_t kc, float* acc);
 #endif
 
 }  // namespace gf::rt::codegen::detail

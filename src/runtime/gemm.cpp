@@ -37,7 +37,7 @@ std::atomic<KernelBackend>& backend_state() {
 struct GemmScratch {
   AlignedVector<float> a_panel;
   AlignedVector<float> b_panel;
-  AlignedVector<double> acc;
+  AlignedVector<float> acc;
 };
 
 GemmScratch& thread_scratch() {
@@ -90,21 +90,21 @@ void pack_b(const float* b, bool trans_b, std::int64_t k, std::int64_t n,
   }
 }
 
-/// Scalar mr x nr register tile: acc[i][j] += fl(A[p][i] * B[p][j]) for p
-/// ascending. Products are rounded to float (exactly as the reference
-/// kernel's `acc += a * b` does) and accumulated in double, so the k-chain
-/// per element is bit-identical to the naive loop. Runs any tile shape —
-/// the fallback when no compiled micro-kernel matches the tiling.
+/// Scalar mr x nr register tile: acc[i][j] = fl(acc[i][j] + fl(A[p][i] *
+/// B[p][j])) for p ascending — a float product added to a float
+/// accumulator, never fused (this TU builds with -ffp-contract=off), so the
+/// compiled tiles in src/runtime/codegen/ reproduce every element's k-chain
+/// bit for bit. Runs any tile shape — the fallback when no compiled
+/// micro-kernel matches the tiling.
 void micro_kernel(const float* a_strip, const float* b_strip, std::int64_t kc_eff,
-                  double* acc, std::int64_t mr, std::int64_t nr) {
+                  float* acc, std::int64_t mr, std::int64_t nr) {
   for (std::int64_t p = 0; p < kc_eff; ++p) {
     const float* arow = a_strip + p * mr;
     const float* brow = b_strip + p * nr;
     for (std::int64_t i = 0; i < mr; ++i) {
       const float av = arow[i];
-      double* accrow = acc + i * nr;
-      for (std::int64_t j = 0; j < nr; ++j)
-        accrow[j] += static_cast<double>(av * brow[j]);
+      float* accrow = acc + i * nr;
+      for (std::int64_t j = 0; j < nr; ++j) accrow[j] += av * brow[j];
     }
   }
 }
@@ -211,10 +211,11 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
     const std::size_t acc_size =
         static_cast<std::size_t>(mr_blocks * nr_blocks * mr * nr);
     if (scratch.acc.size() < acc_size) scratch.acc.resize(acc_size);
-    std::fill(scratch.acc.begin(), scratch.acc.begin() + acc_size, 0.0);
+    std::fill(scratch.acc.begin(), scratch.acc.begin() + acc_size, 0.0f);
 
-    // One double-accumulator pass per tile: KC blocks stream through the
-    // packed panels in ascending-k order, C is converted to float once.
+    // One accumulator pass per tile: KC blocks stream through the packed
+    // panels in ascending-k order, carrying the float tile across blocks,
+    // and each C element is written once.
     for (std::int64_t kk = 0; kk < k; kk += tiling.kc) {
       const std::int64_t kc_eff = std::min(tiling.kc, k - kk);
       const std::size_t a_size = static_cast<std::size_t>(mr_blocks * mr * kc_eff);
@@ -235,7 +236,7 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
         for (std::int64_t ib = 0; ib < mr_blocks; ++ib) {
           const float* a_strip = scratch.a_panel.data() + ib * kc_eff * mr;
           const float* b_strip = scratch.b_panel.data() + jb * kc_eff * nr;
-          double* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
+          float* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
           if (!compiled_ukr ||
               !codegen::gemm_micro_kernel(ukr_isa, a_strip, b_strip, kc_eff,
                                           acc, mr, nr))
@@ -247,12 +248,11 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
       const std::int64_t rows = std::min(mr, mc_eff - ib * mr);
       for (std::int64_t jb = 0; jb < nr_blocks; ++jb) {
         const std::int64_t cols = std::min(nr, nc_eff - jb * nr);
-        const double* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
+        const float* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
         for (std::int64_t i = 0; i < rows; ++i) {
           float* crow = c_mat + (i0 + ib * mr + i) * n + j0 + jb * nr;
           for (std::int64_t j = 0; j < cols; ++j)
-            crow[j] = apply_epilogue(static_cast<float>(acc[i * nr + j]),
-                                     epilogue, j0 + jb * nr + j);
+            crow[j] = apply_epilogue(acc[i * nr + j], epilogue, j0 + jb * nr + j);
         }
       }
     }

@@ -14,14 +14,19 @@
 //  - A and B panels are packed into contiguous micro-tile strips; the
 //    `trans_a`/`trans_b` flags are folded into the pack step, so the inner
 //    loop is branch- and lambda-free and streams unit-stride memory.
-//  - The micro-kernel accumulates an mr x nr register tile in double, in
-//    ascending-k order, and each C element is written exactly once after a
-//    single accumulator pass — results are bitwise identical to the
-//    retained reference kernel and independent of thread count. The tile is
+//  - The micro-kernel accumulates an mr x nr register tile in fp32: each
+//    product is rounded to float and added to a float accumulator in
+//    ascending-k order, never fused into an FMA (this TU and the codegen
+//    TUs build with -ffp-contract=off). The float tile is carried across
+//    KC blocks and each C element is written exactly once. The tile is
 //    sized by hw::register_tile_rule for the active codegen ISA (falling
 //    back to the seed 4x8 scalar tile); the vectorized micro-kernels in
 //    src/runtime/codegen/ preserve the per-element operation sequence, so
-//    the bitwise guarantee holds across ISAs and tile shapes too.
+//    output bits are identical across ISAs, tile shapes and thread counts.
+//    Against the double-accumulating `reference_gemm` the contract is an
+//    error bound, not bit equality: |c - ref| <= (k+2) * 2^-24 *
+//    sum_p |a_ip * b_pj| per element (tests/test_gemm.cpp,
+//    bench/kernel_bench).
 //  - Work is partitioned 2D over (batch x M-tiles x N-tiles); every tile is
 //    computed by exactly one `parallel_for` iteration (disjoint writes, no
 //    cross-thread reduction), which preserves the wavefront executor's
@@ -85,9 +90,9 @@ struct GemmTraffic {
 
 /// Per-element epilogue fused into the C write pass (src/ir/fusion.h folds
 /// MatMul -> BiasAdd -> activation chains down to this). Applied to each
-/// element exactly once, after the double accumulator is cast to float and
-/// in unfused op order — float bias add first, then float activation — so
-/// the result is bitwise identical to running the separate kernels.
+/// element's float accumulator exactly once, unchanged, in unfused op
+/// order — float bias add first, then float activation — so the result is
+/// bitwise identical to writing C and running the separate kernels.
 struct GemmEpilogue {
   enum class Act : std::uint8_t { kNone, kSigmoid, kTanh, kRelu };
   const float* bias = nullptr;  ///< length-n column bias, or null
@@ -98,8 +103,9 @@ struct GemmEpilogue {
 /// op(A) is (m x k) (stored k x m when trans_a), op(B) is (k x n) (stored
 /// n x k when trans_b). Strides are in elements between consecutive batch
 /// matrices; pass b_stride = 0 to broadcast one shared B across the batch.
-/// Each C element is accumulated in double over ascending k and written
-/// once: output bits are independent of tiling and thread count.
+/// Each C element is accumulated in fp32 over ascending k (float products,
+/// float adds, no FMA) and written once: output bits are independent of
+/// the micro-kernel, tiling and thread count.
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
                   std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
                   bool trans_b, std::int64_t a_stride, std::int64_t b_stride,
@@ -108,8 +114,9 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
                   const GemmEpilogue& epilogue = {});
 
 /// The retained reference kernel: naive row-parallel triple loop with
-/// per-element transpose lambdas and a double accumulator. The blocked path
-/// must match it bitwise; `kernel_bench` reports speedup against it.
+/// per-element transpose lambdas and a double accumulator — the accuracy
+/// oracle. The blocked path must stay within the fp32 error bound of it
+/// (see the header comment); `kernel_bench` reports speedup against it.
 void reference_gemm(const float* a, const float* b, float* c, std::int64_t batch,
                     std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
                     bool trans_b, std::int64_t a_stride, std::int64_t b_stride,

@@ -5,9 +5,10 @@
 // measured kernel behaviour and the model describe one algorithm. The
 // column matrix has one row per output pixel (n, ho, wo) and one column
 // per filter tap (kh, kw, c) — ascending (kh, kw, c) order, matching the
-// reference kernel's accumulation order so the GEMM-backed conv2d stays
-// bitwise identical to it. Padding follows the conv kernels: "same" for
-// odd kernel sizes (ph = (KH-1)/2), zero-filled taps outside the image.
+// reference kernel's accumulation order, so each GEMM-backed conv2d output
+// is one fp32 k-chain over the taps, within the GEMM's error bound of the
+// reference (gemm.h). Padding follows the conv kernels: "same" for odd
+// kernel sizes (ph = (KH-1)/2), zero-filled taps outside the image.
 #pragma once
 
 #include <cstdint>

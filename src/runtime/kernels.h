@@ -10,8 +10,8 @@
 //
 // The pre-blocking implementations are retained as `*_reference` (and
 // `reference_gemm`): sanitizer CI runs on them via GF_REFERENCE_KERNELS=1,
-// tests pin blocked-vs-reference equivalence, and `bench/kernel_bench`
-// reports speedup against them.
+// tests hold the blocked forward kernels within the fp32 error bound of
+// them (gemm.h), and `bench/kernel_bench` reports speedup against them.
 #pragma once
 
 #include <cstdint>

@@ -10,24 +10,27 @@
 // Concurrency contract (the reason the cache needs no invalidation):
 //
 //   * Entries are IMMUTABLE ONCE PUBLISHED. get_or_compute() inserts an
-//     entry shell under a sharded mutex, runs the compute function inside
-//     std::call_once on the shell, and the published shared_ptr<const T>
-//     is never replaced or evicted. Readers after publication take the
-//     shard lock only long enough to find the shell.
-//   * SINGLE-FLIGHT: std::call_once guarantees at most one successful
-//     execution per key for the lifetime of the cache; concurrent
-//     requesters of the same key block on the winner instead of
-//     recomputing (serve_bench's "zero re-executions on a repeated
-//     request" gate is this property, observed via Stats.executions).
-//   * A compute function that throws leaves the once-flag unset
-//     (std::call_once semantics), so the error propagates to that caller
-//     and the next requester retries — failures are never cached.
+//     entry shell under a sharded mutex; the shell carries its own mutex,
+//     condition variable and state (empty / computing / ready). The
+//     published shared_ptr<const T> is never replaced or evicted. Readers
+//     after publication take the shard lock only long enough to find the
+//     shell, and the shell's lock only long enough to see it is ready.
+//   * SINGLE-FLIGHT: the requester that finds a shell empty marks it
+//     computing and runs the compute function outside every lock; the
+//     others wait on the condition variable instead of recomputing, so a
+//     key executes successfully at most once for the lifetime of the cache
+//     (serve_bench's "zero re-executions on a repeated request" gate is
+//     this property, observed via Stats.executions).
+//   * A compute function that throws resets the shell to empty and wakes
+//     one waiter, which retries; the error propagates to the thrower only,
+//     so failures are never cached.
 //
 // Content addressing makes this safe: a key collision would require an
 // FNV-64 collision between canonical serialized forms, and keys never
 // need to be invalidated because the content IS the identity.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,24 +79,47 @@ class StageCache {
   std::shared_ptr<const T> get_or_compute(const std::string& stage, std::uint64_t key,
                                           Compute&& compute) {
     const std::shared_ptr<Entry> entry = intern(stage, key);
-    // call_once outside the shard lock: a slow compute (graph build,
-    // symbolic count) must not serialize unrelated keys in its shard.
-    bool executed = false;
-    std::call_once(entry->once, [&] {
-      entry->value = std::static_pointer_cast<const void>(
-          std::shared_ptr<const T>(compute()));
-      executed = true;
-    });
-    record(stage, executed);
-    return std::static_pointer_cast<const T>(entry->value);
+    std::unique_lock lock(entry->mutex);
+    entry->done.wait(lock, [&] { return entry->state != State::kComputing; });
+    if (entry->state == State::kReady) {
+      std::shared_ptr<const void> value = entry->value;
+      lock.unlock();
+      record(stage, false);
+      return std::static_pointer_cast<const T>(std::move(value));
+    }
+    entry->state = State::kComputing;
+    lock.unlock();
+    // Compute outside every lock: a slow compute (graph build, symbolic
+    // count) must not serialize unrelated keys in its shard.
+    std::shared_ptr<const void> value;
+    try {
+      value = std::static_pointer_cast<const void>(std::shared_ptr<const T>(compute()));
+    } catch (...) {
+      lock.lock();
+      entry->state = State::kEmpty;
+      lock.unlock();
+      entry->done.notify_one();
+      throw;
+    }
+    lock.lock();
+    entry->value = value;
+    entry->state = State::kReady;
+    lock.unlock();
+    entry->done.notify_all();
+    record(stage, true);
+    return std::static_pointer_cast<const T>(std::move(value));
   }
 
   StageCacheStats stats() const;
 
  private:
+  enum class State : std::uint8_t { kEmpty, kComputing, kReady };
+
   struct Entry {
-    std::once_flag once;
-    std::shared_ptr<const void> value;
+    std::mutex mutex;
+    std::condition_variable done;  ///< signalled when state leaves kComputing
+    State state = State::kEmpty;
+    std::shared_ptr<const void> value;  ///< set once, when state becomes kReady
   };
 
   struct Shard {

@@ -126,7 +126,7 @@ TEST_F(DispatchTest, ResolveIsaNeverYieldsUnsupported) {
 
 TEST_F(DispatchTest, GemmMicroKernelRefusesMismatchedTiles) {
   std::vector<float> a(8 * 4, 1.0f), b(8 * 16, 1.0f);
-  std::vector<double> acc(8 * 16, 0.0);
+  std::vector<float> acc(8 * 16, 0.0f);
   // kScalar has no compiled kernel.
   EXPECT_FALSE(rt::codegen::gemm_micro_kernel(SimdIsa::kScalar, a.data(), b.data(),
                                               4, acc.data(), 4, 8));

@@ -2,19 +2,24 @@
 //
 // The contract under test: the cache-blocked packed GEMM (and every kernel
 // re-expressed on top of it or parallelized over the pool) produces output
-// bits that are independent of thread count, and — for the GEMM itself —
-// identical to the retained reference kernel, because both accumulate
-// fl(a*b) into a double per output element in ascending-k order.
+// bits that are independent of thread count and micro-kernel, because each
+// output element adds fl(a*b) to a float accumulator in ascending-k order.
+// Against the double-accumulating reference kernels the GEMM is checked
+// per element within the fp32 summation bound (within_fp32_bound below).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/hw/cache_model.h"
+#include "src/hw/cpu_features.h"
 #include "src/ir/graph.h"
 #include "src/ir/ops.h"
+#include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
 
@@ -43,6 +48,62 @@ std::vector<std::uint32_t> bits_of(const std::vector<float>& v) {
   std::vector<std::uint32_t> b(v.size());
   std::memcpy(b.data(), v.data(), v.size() * sizeof(float));
   return b;
+}
+
+/// The fp32 GEMM contract against the double reference: an element that
+/// sums k float-rounded products in fp32 is within
+/// (k+2) * 2^-24 * sum_p |a_ip * b_pj| of the reference's float result (k
+/// roundings of products and partial sums, plus the reference's own final
+/// cast, with slack). `abs_sum` is that sum, computed in double.
+testing::AssertionResult within_fp32_bound(float c, float ref, std::int64_t k,
+                                           double abs_sum) {
+  const double bound = static_cast<double>(k + 2) * std::ldexp(1.0, -24) * abs_sum;
+  const double err = std::abs(static_cast<double>(c) - static_cast<double>(ref));
+  if (err <= bound) return testing::AssertionSuccess();
+  return testing::AssertionFailure()
+         << "|" << c << " - " << ref << "| = " << err << " > bound " << bound;
+}
+
+/// sum_p |op(A)[r][p] * op(B)[p][col]| for one batch matrix pair.
+double gemm_abs_sum(const float* a, const float* b, std::int64_t m, std::int64_t n,
+                    std::int64_t k, bool trans_a, bool trans_b, std::int64_t r,
+                    std::int64_t col) {
+  double sum = 0;
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float av = trans_a ? a[p * m + r] : a[r * k + p];
+    const float bv = trans_b ? b[col * k + p] : b[p * n + col];
+    sum += std::abs(static_cast<double>(av) * static_cast<double>(bv));
+  }
+  return sum;
+}
+
+/// Checks a stride-1, same-padded NHWC conv output (filter KH x KW x C x F)
+/// element by element against the reference output, with the tap sum
+/// sum |x * w| over the window (padding taps contribute zero) and
+/// k = KH * KW * C.
+void expect_conv_within_bound(const DenseTensor& in, const DenseTensor& filter,
+                              const DenseTensor& out, const DenseTensor& ref) {
+  const std::int64_t N = in.dim(0), H = in.dim(1), W = in.dim(2), C = in.dim(3);
+  const std::int64_t KH = filter.dim(0), KW = filter.dim(1), F = filter.dim(3);
+  const std::int64_t ph = (KH - 1) / 2, pw = (KW - 1) / 2;
+  for (std::int64_t nidx = 0; nidx < N; ++nidx)
+    for (std::int64_t ho = 0; ho < H; ++ho)
+      for (std::int64_t wo = 0; wo < W; ++wo)
+        for (std::int64_t f = 0; f < F; ++f) {
+          double abs_sum = 0;
+          for (std::int64_t kh = 0; kh < KH; ++kh)
+            for (std::int64_t kw = 0; kw < KW; ++kw) {
+              const std::int64_t h = ho + kh - ph, w = wo + kw - pw;
+              if (h < 0 || h >= H || w < 0 || w >= W) continue;
+              for (std::int64_t c = 0; c < C; ++c)
+                abs_sum += std::abs(
+                    static_cast<double>(in.f(((nidx * H + h) * W + w) * C + c)) *
+                    static_cast<double>(filter.f(((kh * KW + kw) * C + c) * F + f)));
+            }
+          const std::int64_t i = ((nidx * H + ho) * W + wo) * F + f;
+          EXPECT_TRUE(within_fp32_bound(out.f(i), ref.f(i), KH * KW * C, abs_sum))
+              << "element " << i;
+        }
 }
 
 DenseTensor tensor_from(std::vector<std::int64_t> shape, const std::vector<float>& data) {
@@ -79,47 +140,106 @@ void run_case(const GemmCase& gc) {
                default_gemm_tiling(), pool());
   reference_gemm(a.data(), b.data(), c_ref.data(), gc.batch, gc.m, gc.n, gc.k,
                  gc.trans_a, gc.trans_b, a_stride, b_stride, c_stride, pool());
-  EXPECT_EQ(bits_of(c_blocked), bits_of(c_ref));
+  for (std::int64_t bi = 0; bi < gc.batch; ++bi)
+    for (std::int64_t r = 0; r < gc.m; ++r)
+      for (std::int64_t col = 0; col < gc.n; ++col) {
+        const std::int64_t i = bi * c_stride + r * gc.n + col;
+        const double abs_sum =
+            gemm_abs_sum(a.data() + bi * a_stride, b.data() + bi * b_stride, gc.m,
+                         gc.n, gc.k, gc.trans_a, gc.trans_b, r, col);
+        EXPECT_TRUE(within_fp32_bound(c_blocked[static_cast<std::size_t>(i)],
+                                      c_ref[static_cast<std::size_t>(i)], gc.k,
+                                      abs_sum))
+            << "element " << i;
+      }
 }
 
-TEST(BlockedGemm, MatchesReferenceBitwiseRank2) {
+TEST(BlockedGemm, MatchesReferenceWithinBoundRank2) {
   // Odd, non-tile-multiple shapes so every edge path (partial micro-tile,
   // partial KC block) is exercised in all four transpose combinations.
   for (bool ta : {false, true})
     for (bool tb : {false, true}) run_case({1, 67, 35, 129, ta, tb, false});
 }
 
-TEST(BlockedGemm, MatchesReferenceBitwiseBatched) {
+TEST(BlockedGemm, MatchesReferenceWithinBoundBatched) {
   for (bool ta : {false, true})
     for (bool tb : {false, true}) run_case({3, 17, 29, 41, ta, tb, false});
 }
 
-TEST(BlockedGemm, MatchesReferenceBitwiseBroadcastB) {
+TEST(BlockedGemm, MatchesReferenceWithinBoundBroadcastB) {
   for (bool ta : {false, true})
     for (bool tb : {false, true}) run_case({4, 13, 19, 23, ta, tb, true});
 }
 
-TEST(BlockedGemm, MatchesReferenceBitwiseTinyAndAlignedShapes) {
+TEST(BlockedGemm, MatchesReferenceWithinBoundTinyAndAlignedShapes) {
   run_case({1, 1, 1, 1, false, false, false});
   run_case({1, 4, 8, 16, false, false, false});     // exact micro-tiles
   run_case({1, 128, 128, 128, false, true, false});  // exact-ish macro fit
   run_case({2, 5, 3, 2, true, false, false});
 }
 
+/// Forces one micro-kernel for a test's scope: the seed scalar tile or the
+/// best compiled one (with its own register tile and packing).
+class ForcedIsa {
+ public:
+  explicit ForcedIsa(hw::SimdIsa isa) { codegen::set_forced_isa(isa); }
+  ~ForcedIsa() { codegen::set_forced_isa(std::nullopt); }
+  ForcedIsa(const ForcedIsa&) = delete;
+  ForcedIsa& operator=(const ForcedIsa&) = delete;
+};
+
+TEST(BlockedGemm, AccumulatesInFloatInAscendingK) {
+  // k spans three KC blocks, so the chain is carried across block edges in
+  // the float accumulator tile.
+  for (const hw::SimdIsa isa : {hw::SimdIsa::kScalar, hw::best_simd_isa()}) {
+    const ForcedIsa forced(isa);
+    const std::int64_t k = 2 * default_gemm_tiling().kc + 7;
+    for (const auto& [m, n] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{{1, 1}, {3, 5}}) {
+      SCOPED_TRACE(testing::Message() << hw::simd_isa_name(isa) << " m=" << m
+                                      << " n=" << n << " k=" << k);
+      const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), 101);
+      const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), 103);
+      std::vector<float> c(static_cast<std::size_t>(m * n)), want(c.size());
+      blocked_gemm(a.data(), b.data(), c.data(), 1, m, n, k, false, false, 0, 0, 0,
+                   default_gemm_tiling(), pool());
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j) {
+          float acc = 0;
+          for (std::int64_t p = 0; p < k; ++p)
+            acc += a[static_cast<std::size_t>(i * k + p)] *
+                   b[static_cast<std::size_t>(p * n + j)];
+          want[static_cast<std::size_t>(i * n + j)] = acc;
+        }
+      EXPECT_EQ(bits_of(c), bits_of(want));
+    }
+  }
+}
+
 TEST(BlockedGemm, BitwiseIdenticalAcrossThreadCounts) {
   const std::int64_t m = 151, n = 93, k = 77;
   const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), 5);
   const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), 9);
-  std::vector<std::vector<std::uint32_t>> runs;
-  for (int threads : {1, 2, 8}) {
-    conc::ThreadPool tp(threads);
-    std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
-    blocked_gemm(a.data(), b.data(), c.data(), 1, m, n, k, false, false, 0, 0, 0,
-                 default_gemm_tiling(), tp);
-    runs.push_back(bits_of(c));
-  }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
+  const std::vector<float> bias = random_vec(static_cast<std::size_t>(n), 13);
+  GemmEpilogue bias_tanh;
+  bias_tanh.bias = bias.data();
+  bias_tanh.act = GemmEpilogue::Act::kTanh;
+  for (const hw::SimdIsa isa : {hw::SimdIsa::kScalar, hw::best_simd_isa()})
+    for (const GemmEpilogue& epi : {GemmEpilogue{}, bias_tanh}) {
+      SCOPED_TRACE(testing::Message() << hw::simd_isa_name(isa)
+                                      << " epilogue=" << (epi.bias != nullptr));
+      const ForcedIsa forced(isa);
+      std::vector<std::vector<std::uint32_t>> runs;
+      for (int threads : {1, 2, 8}) {
+        conc::ThreadPool tp(threads);
+        std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+        blocked_gemm(a.data(), b.data(), c.data(), 1, m, n, k, false, false, 0, 0,
+                     0, default_gemm_tiling(), tp, nullptr, epi);
+        runs.push_back(bits_of(c));
+      }
+      EXPECT_EQ(runs[0], runs[1]);
+      EXPECT_EQ(runs[0], runs[2]);
+    }
 }
 
 TEST(GemmTiling, FollowsPaperTileRule) {
@@ -234,10 +354,10 @@ TEST(Alignment, AlignedVectorIsAligned) {
 
 // --- conv lowering vs reference -------------------------------------------
 
-TEST(ConvBlocked, ForwardMatchesReferenceBitwise) {
+TEST(ConvBlocked, ForwardMatchesReferenceWithinBound) {
   // im2col orders taps (kh, kw, c) ascending with explicit zeros for
-  // padding — the identical accumulation chain to the reference loops, so
-  // the forward lowering is bit-exact.
+  // padding, so each output is one fp32 GEMM chain over KH*KW*C taps and
+  // meets the GEMM's bound against the double-accumulating reference loops.
   const std::vector<std::int64_t> in_shape{2, 9, 7, 3}, f_shape{3, 3, 3, 5};
   DenseTensor in = tensor_from(in_shape, random_vec(2 * 9 * 7 * 3, 31));
   DenseTensor f = tensor_from(f_shape, random_vec(3 * 3 * 3 * 5, 37));
@@ -247,8 +367,7 @@ TEST(ConvBlocked, ForwardMatchesReferenceBitwise) {
   set_kernel_backend(KernelBackend::kBlocked);
   conv2d(in, f, out, 1, pool(), s1);
   conv2d_reference(in, f, out_ref, 1, s2);
-  for (std::int64_t i = 0; i < out.numel(); ++i)
-    ASSERT_EQ(bits_of({out.f(i)}), bits_of({out_ref.f(i)})) << i;
+  expect_conv_within_bound(in, f, out, out_ref);
   EXPECT_DOUBLE_EQ(s1.flops, s2.flops);
   EXPECT_DOUBLE_EQ(s1.bytes, s2.bytes);
 }
@@ -335,7 +454,7 @@ TEST(ParallelKernels, EmbeddingSoftmaxReduceBitwiseAcrossThreadCounts) {
   EXPECT_EQ(runs[0], runs[1]);
 }
 
-TEST(KernelBackendSwitch, ReferenceBackendRunsSeedKernels) {
+TEST(KernelBackendSwitch, ReferenceBackendRunsSeedKernelsWithinBound) {
   DenseTensor in = tensor_from({1, 4, 4, 2}, random_vec(4 * 4 * 2, 83));
   DenseTensor f = tensor_from({3, 3, 2, 3}, random_vec(3 * 3 * 2 * 3, 89));
   DenseTensor out_b({1, 4, 4, 3}, ir::DataType::kFloat32);
@@ -346,8 +465,7 @@ TEST(KernelBackendSwitch, ReferenceBackendRunsSeedKernels) {
   set_kernel_backend(KernelBackend::kReference);
   conv2d(in, f, out_r, 1, pool(), s);
   set_kernel_backend(KernelBackend::kBlocked);
-  for (std::int64_t i = 0; i < out_b.numel(); ++i)
-    EXPECT_EQ(bits_of({out_b.f(i)}), bits_of({out_r.f(i)})) << i;
+  expect_conv_within_bound(in, f, out_b, out_r);
 }
 
 }  // namespace

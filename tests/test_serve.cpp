@@ -18,6 +18,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -134,12 +135,49 @@ TEST(StageCache, ThrowingComputeIsNotCached) {
                                            throw std::runtime_error("transient");
                                          }),
                std::runtime_error);
-  // The failure left the once-flag unset: the next requester retries and
-  // the eventual success is the only recorded execution.
+  // The failure left the entry empty: the next requester retries and the
+  // eventual success is the only recorded execution.
   auto value = cache.get_or_compute<int>("s", 1, [] { return std::make_shared<int>(5); });
   EXPECT_EQ(*value, 5);
   const StageCacheStats stats = cache.stats();
   EXPECT_EQ(stats.executions, 1u);
+}
+
+TEST(StageCache, ConcurrentRetryAfterThrowExecutesOnce) {
+  // Eight requesters race on one key whose compute throws on its first
+  // call only: the thrower alone sees the error, a waiter retries, and the
+  // retry is the key's one execution.
+  StageCache cache;
+  constexpr int kThreads = 8;
+  std::atomic<int> calls{0}, fives{0}, errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      try {
+        auto value = cache.get_or_compute<int>("s", 3, [&]() -> std::shared_ptr<int> {
+          if (calls.fetch_add(1) == 0) throw std::runtime_error("first call fails");
+          return std::make_shared<int>(5);
+        });
+        if (*value == 5) fives.fetch_add(1);
+      } catch (const std::runtime_error&) {
+        errors.fetch_add(1);
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 1);
+  EXPECT_EQ(fives.load(), kThreads - 1);
+  EXPECT_EQ(calls.load(), 2);
+  const StageCacheStats before = cache.stats();
+  EXPECT_EQ(before.executions, 1u);
+
+  auto later = cache.get_or_compute<int>("s", 3, []() -> std::shared_ptr<int> {
+    ADD_FAILURE() << "published entry recomputed";
+    return std::make_shared<int>(-1);
+  });
+  EXPECT_EQ(*later, 5);
+  const StageCacheStats after = cache.stats();
+  EXPECT_EQ(after.executions, 1u);
+  EXPECT_EQ(after.hits, before.hits + 1);
 }
 
 TEST(StageCache, SameKeyDifferentStageIsDistinct) {

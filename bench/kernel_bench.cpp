@@ -1,8 +1,8 @@
 // Kernel-layer microbenchmark: blocked GEMM / conv kernels vs the retained
 // reference implementations, validated against the paper's cache model.
 //
-// Four sections. The first three go to BENCH_kernels.json, the fourth to
-// BENCH_codegen.json:
+// Five sections. Sections 1-3 and 5 go to BENCH_kernels.json, section 4
+// to BENCH_codegen.json:
 //
 //  1. GEMM sweep over shapes drawn from the paper's models (word-LM
 //     projection, NMT attention/recurrent, ResNet im2col shapes) plus the
@@ -25,6 +25,13 @@
 //     one. Exact-ops chains must match the interpreter bitwise; sigmoid/
 //     tanh chains within epsilon. Outside --smoke, at least one chain must
 //     clear a 2x compiled speedup or the run fails.
+//  5. Element and row kernels on word_lm's shapes (h128, batch 16): the
+//     256x512 weight-gradient accumulation add, the [16x128]+[16x128]
+//     concat, the [16x512] -> 4x[16x128] split and Adam on 256x512, in
+//     us per call and GB/s of the kernel's charged bytes, next to the
+//     host's single-thread copy bandwidth (rt::measure_copy_bandwidth).
+//     Each output must be bitwise-equal to the per-element loop kept
+//     here, smoke included; GB/s is reported, not gated.
 //
 // Flags: --smoke (tiny shapes, 1 rep — CI), --threads N, --out PATH,
 // --codegen-out PATH.
@@ -43,6 +50,7 @@
 #include "src/hw/cache_model.h"
 #include "src/hw/cpu_features.h"
 #include "src/runtime/codegen/dispatch.h"
+#include "src/runtime/datapar.h"
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
 #include "src/util/format.h"
@@ -503,6 +511,144 @@ UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int rep
   return res;
 }
 
+// ---------------------------------------------------------------------------
+// Section 5: element and row kernels on word_lm's shapes.
+// ---------------------------------------------------------------------------
+
+struct ElementResult {
+  std::string label;
+  std::string shape;
+  double us_per_call = 0;
+  double gbytes_per_s = 0;  // the kernel's charged bytes per second
+  bool bitwise_ok = false;
+};
+
+rt::DenseTensor random_tensor(std::vector<std::int64_t> shape, std::uint32_t seed) {
+  rt::DenseTensor t(std::move(shape), ir::DataType::kFloat32);
+  const std::vector<float> v = random_vec(static_cast<std::size_t>(t.numel()), seed);
+  std::memcpy(t.fdata(), v.data(), v.size() * sizeof(float));
+  return t;
+}
+
+bool same_bits(const rt::DenseTensor& t, const std::vector<float>& want) {
+  return static_cast<std::size_t>(t.numel()) == want.size() &&
+         std::memcmp(t.fdata(), want.data(), want.size() * sizeof(float)) == 0;
+}
+
+/// Best-of-reps time per call of fn, timed over `iters` back-to-back calls
+/// so microsecond kernels are not lost in clock resolution. fn runs once
+/// untimed first; GB/s divides the bytes that call charged by the time.
+template <typename Fn>
+ElementResult time_element_kernel(const std::string& label, const std::string& shape,
+                                  int reps, int iters, Fn&& fn) {
+  rt::KernelStats once;
+  fn(once);
+  rt::KernelStats ignored;
+  const double t = time_best(reps, [&] {
+                     for (int i = 0; i < iters; ++i) fn(ignored);
+                   }) /
+                   iters;
+  ElementResult r;
+  r.label = label;
+  r.shape = shape;
+  r.us_per_call = t * 1e6;
+  r.gbytes_per_s = once.bytes / t / 1e9;
+  return r;
+}
+
+std::vector<ElementResult> bench_element_kernels(conc::ThreadPool& pool, bool smoke,
+                                                 int reps) {
+  // word_lm at h = 128, batch 16: W is [2h, 4h], the cell input [b, h] + [b, h],
+  // the gate block [b, 4h].
+  const std::int64_t h = smoke ? 32 : 128, b = smoke ? 4 : 16;
+  const std::int64_t wr = 2 * h, wc = 4 * h;
+  const int iters = smoke ? 4 : 200;
+  std::vector<ElementResult> out;
+  const std::string w_shape = std::to_string(wr) + "x" + std::to_string(wc);
+
+  {  // the weight-gradient accumulation add
+    const rt::DenseTensor a = random_tensor({wr, wc}, 71), c = random_tensor({wr, wc}, 73);
+    rt::DenseTensor sum({wr, wc}, ir::DataType::kFloat32);
+    ElementResult r = time_element_kernel("accumulate_add", w_shape, reps, iters,
+                                          [&](rt::KernelStats& st) {
+      rt::pointwise(ir::PointwiseFn::kAdd, {&a, &c}, 1.0, sum, pool, st);
+    });
+    std::vector<float> want(static_cast<std::size_t>(a.numel()));
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+      want[static_cast<std::size_t>(i)] = a.fdata()[i] + c.fdata()[i];
+    r.bitwise_ok = same_bits(sum, want);
+    out.push_back(r);
+  }
+  {  // the cell-input concat along axis 1
+    const rt::DenseTensor x = random_tensor({b, h}, 79), hp = random_tensor({b, h}, 83);
+    rt::DenseTensor cat({b, 2 * h}, ir::DataType::kFloat32);
+    ElementResult r = time_element_kernel(
+        "concat", std::to_string(b) + "x" + std::to_string(h) + " + " + std::to_string(b) +
+                      "x" + std::to_string(h),
+        reps, iters * 10,
+        [&](rt::KernelStats& st) { rt::concat({&x, &hp}, 1, cat, pool, st); });
+    std::vector<float> want;
+    for (std::int64_t row = 0; row < b; ++row)
+      for (std::int64_t col = 0; col < 2 * h; ++col)
+        want.push_back(col < h ? x.fdata()[row * h + col] : hp.fdata()[row * h + col - h]);
+    r.bitwise_ok = same_bits(cat, want);
+    out.push_back(r);
+  }
+  {  // the gate split along axis 1
+    const rt::DenseTensor gates = random_tensor({b, 4 * h}, 89);
+    std::vector<rt::DenseTensor> parts;
+    for (int p = 0; p < 4; ++p) parts.emplace_back(std::vector<std::int64_t>{b, h},
+                                                   ir::DataType::kFloat32);
+    std::vector<rt::DenseTensor*> part_ptrs;
+    for (rt::DenseTensor& p : parts) part_ptrs.push_back(&p);
+    ElementResult r = time_element_kernel(
+        "split", std::to_string(b) + "x" + std::to_string(4 * h) + " -> 4x" +
+                     std::to_string(b) + "x" + std::to_string(h),
+        reps, iters * 10,
+        [&](rt::KernelStats& st) { rt::split(gates, 1, part_ptrs, pool, st); });
+    r.bitwise_ok = true;
+    for (std::int64_t p = 0; p < 4; ++p) {
+      std::vector<float> want;
+      for (std::int64_t row = 0; row < b; ++row)
+        for (std::int64_t col = 0; col < h; ++col)
+          want.push_back(gates.fdata()[row * 4 * h + p * h + col]);
+      r.bitwise_ok = r.bitwise_ok && same_bits(parts[static_cast<std::size_t>(p)], want);
+    }
+    out.push_back(r);
+  }
+  {  // Adam on the weight; the check replays one step from fixed state
+    const rt::DenseTensor grad = random_tensor({wr, wc}, 97);
+    const rt::DenseTensor w0 = random_tensor({wr, wc}, 101);
+    const rt::DenseTensor m0 = random_tensor({wr, wc}, 103);
+    rt::DenseTensor v0 = random_tensor({wr, wc}, 107);
+    for (std::int64_t i = 0; i < v0.numel(); ++i) v0.fdata()[i] = std::abs(v0.fdata()[i]);
+    rt::DenseTensor w = w0, m = m0, v = v0;
+    const double lr = 0.01;
+    ElementResult r = time_element_kernel("adam", w_shape, reps, iters,
+                                          [&](rt::KernelStats& st) {
+      rt::apply_gradient(ir::Optimizer::kAdam, w, grad, {&m, &v}, lr, pool, st);
+    });
+    w = w0;
+    m = m0;
+    v = v0;
+    rt::KernelStats st;
+    rt::apply_gradient(ir::Optimizer::kAdam, w, grad, {&m, &v}, lr, pool, st);
+    constexpr float kB1 = 0.9f, kB2 = 0.999f, kEps = 1e-8f;
+    const auto n = static_cast<std::size_t>(w0.numel());
+    std::vector<float> ew(w0.fdata(), w0.fdata() + n), em(m0.fdata(), m0.fdata() + n),
+        ev(v0.fdata(), v0.fdata() + n);
+    const float* g = grad.fdata();
+    for (std::size_t i = 0; i < n; ++i) {
+      em[i] = kB1 * em[i] + (1 - kB1) * g[i];
+      ev[i] = kB2 * ev[i] + (1 - kB2) * g[i] * g[i];
+      ew[i] -= static_cast<float>(lr) * em[i] / (std::sqrt(ev[i]) + kEps);
+    }
+    r.bitwise_ok = same_bits(w, ew) && same_bits(m, em) && same_bits(v, ev);
+    out.push_back(r);
+  }
+  return out;
+}
+
 void write_codegen_json(const std::string& path, std::size_t threads,
                         const std::vector<ChainResult>& chains,
                         const UkrResult& ukr, bool speedup_gate_ok) {
@@ -533,7 +679,8 @@ void write_codegen_json(const std::string& path, std::size_t threads,
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<GemmResult>& gemms,
                 const std::vector<ConvResult>& convs,
-                const std::vector<TrafficPoint>& traffic, bool traffic_trend_ok) {
+                const std::vector<TrafficPoint>& traffic, bool traffic_trend_ok,
+                const std::vector<ElementResult>& elements, double copy_bandwidth) {
   util::Json gemm_rows = util::Json::array();
   for (const GemmResult& r : gemms)
     gemm_rows.push_back(util::Json::object(
@@ -555,10 +702,17 @@ void write_json(const std::string& path, std::size_t threads,
     traffic_rows.push_back(util::Json::object({{"edge", p.edge},
                                                {"measured_ratio", p.measured_ratio},
                                                {"model_ratio", p.model_ratio}}));
+  util::Json element_rows = util::Json::array();
+  for (const ElementResult& r : elements)
+    element_rows.push_back(util::Json::object(
+        {{"label", r.label}, {"shape", r.shape}, {"us_per_call", r.us_per_call},
+         {"gbytes_per_s", r.gbytes_per_s}, {"bitwise_ok", r.bitwise_ok}}));
   const util::Json doc = util::Json::object(
       {{"threads", threads}, {"model_cache_bytes", rt::gemm_model_cache_bytes()},
        {"gemm", gemm_rows}, {"conv", conv_rows}, {"traffic_sweep", traffic_rows},
-       {"traffic_trend_matches_model", traffic_trend_ok}});
+       {"traffic_trend_matches_model", traffic_trend_ok},
+       {"element_kernels", element_rows},
+       {"copy_bandwidth_gbytes_per_s", copy_bandwidth / 1e9}});
   std::ofstream(path) << doc.dump() << "\n";
 }
 
@@ -717,7 +871,22 @@ int main(int argc, char** argv) {
               << (speedup_gate_ok ? "yes" : "NO") << "\n";
   }
 
-  write_json(out_path, threads, gemms, convs, traffic, traffic_trend_ok);
+  // Section 5: element and row kernels against the host's copy bandwidth.
+  const double copy_bandwidth = rt::measure_copy_bandwidth();
+  const std::vector<ElementResult> elements = bench_element_kernels(pool, smoke, reps);
+  util::Table element_table({"kernel", "shape", "us/call", "GB/s", "bitwise"});
+  for (const ElementResult& r : elements) {
+    ok = ok && r.bitwise_ok;
+    element_table.add_row({r.label, r.shape, util::format_sig(r.us_per_call, 3),
+                           util::format_sig(r.gbytes_per_s, 3),
+                           r.bitwise_ok ? "yes" : "NO"});
+  }
+  std::cout << "\n== element and row kernels (host copy bandwidth "
+            << util::format_sig(copy_bandwidth / 1e9, 3) << " GB/s, one thread) ==\n";
+  element_table.print(std::cout);
+
+  write_json(out_path, threads, gemms, convs, traffic, traffic_trend_ok, elements,
+             copy_bandwidth);
   std::cout << "wrote " << out_path << "\n";
   write_codegen_json(codegen_out_path, threads, chains, ukr, speedup_gate_ok);
   std::cout << "wrote " << codegen_out_path << "\n";

@@ -61,21 +61,6 @@ std::size_t DenseTensor::byte_size() const {
   return static_cast<std::size_t>(numel_) * ir::dtype_bytes(dtype_);
 }
 
-float* DenseTensor::fdata() {
-  if (!is_float()) throw std::logic_error("fdata() on integer tensor");
-  return ext_ != nullptr ? static_cast<float*>(ext_) : fbuf_.data();
-}
-const float* DenseTensor::fdata() const {
-  if (!is_float()) throw std::logic_error("fdata() on integer tensor");
-  return ext_ != nullptr ? static_cast<const float*>(ext_) : fbuf_.data();
-}
-std::int32_t* DenseTensor::idata() {
-  if (is_float()) throw std::logic_error("idata() on float tensor");
-  return ext_ != nullptr ? static_cast<std::int32_t*>(ext_) : ibuf_.data();
-}
-const std::int32_t* DenseTensor::idata() const {
-  if (is_float()) throw std::logic_error("idata() on float tensor");
-  return ext_ != nullptr ? static_cast<const std::int32_t*>(ext_) : ibuf_.data();
-}
+void DenseTensor::dtype_mismatch(const char* what) { throw std::logic_error(what); }
 
 }  // namespace gf::rt

@@ -44,10 +44,24 @@ class DenseTensor {
 
   bool is_float() const { return dtype_ == ir::DataType::kFloat32; }
 
-  float* fdata();
-  const float* fdata() const;
-  std::int32_t* idata();
-  const std::int32_t* idata() const;
+  // Inline so element loops that index through f()/i32() compile to plain
+  // loads and stores; the dtype check stays, its throw is out of line.
+  float* fdata() {
+    if (!is_float()) dtype_mismatch("fdata() on integer tensor");
+    return ext_ != nullptr ? static_cast<float*>(ext_) : fbuf_.data();
+  }
+  const float* fdata() const {
+    if (!is_float()) dtype_mismatch("fdata() on integer tensor");
+    return ext_ != nullptr ? static_cast<const float*>(ext_) : fbuf_.data();
+  }
+  std::int32_t* idata() {
+    if (is_float()) dtype_mismatch("idata() on float tensor");
+    return ext_ != nullptr ? static_cast<std::int32_t*>(ext_) : ibuf_.data();
+  }
+  const std::int32_t* idata() const {
+    if (is_float()) dtype_mismatch("idata() on float tensor");
+    return ext_ != nullptr ? static_cast<const std::int32_t*>(ext_) : ibuf_.data();
+  }
 
   float& f(std::int64_t i) { return fdata()[i]; }
   float f(std::int64_t i) const { return fdata()[i]; }
@@ -56,6 +70,8 @@ class DenseTensor {
 
  private:
   struct ViewTag {};
+  /// Throws std::logic_error(what).
+  [[noreturn]] static void dtype_mismatch(const char* what);
   DenseTensor(ViewTag, std::vector<std::int64_t> shape, ir::DataType dtype, void* data);
 
   std::vector<std::int64_t> shape_;

@@ -16,11 +16,37 @@ void expect(bool cond, const char* what) {
 
 double tensor_bytes(const DenseTensor& t) { return static_cast<double>(t.byte_size()); }
 
-/// Minimum iterations per parallel_for chunk for fine-grained (per-element
-/// or per-row) loops, so tiny tensors run inline instead of paying
-/// dispatch overhead.
-constexpr std::size_t kElementChunk = 4096;
-constexpr std::size_t kRowChunk = 8;
+/// Element kernels run in blocks of kElementChunk elements: one
+/// parallel_for iteration and one switch per block, a plain pointer loop
+/// inside (codegen::run_lowered blocks by kSimdBlock the same way).
+constexpr std::int64_t kElementChunk = 4096;
+/// Row kernels give each parallel_for chunk at least this many elements of
+/// work, so small tensors (a 16-row LSTM concat) run inline instead of
+/// waking a peer thread.
+constexpr std::int64_t kRowGrain = 16384;
+
+/// Minimum parallel_for chunk, in rows, for rows of `row_elems` elements.
+std::size_t row_grain(std::int64_t row_elems) {
+  const std::int64_t per_row = std::max<std::int64_t>(row_elems, 1);
+  return static_cast<std::size_t>((kRowGrain + per_row - 1) / per_row);
+}
+
+/// Runs body(i0, i1) over [0, n) in kElementChunk blocks across the pool.
+template <typename Body>
+void for_element_blocks(conc::ThreadPool& pool, std::int64_t n, const Body& body) {
+  const std::int64_t blocks = (n + kElementChunk - 1) / kElementChunk;
+  conc::parallel_for(pool, 0, static_cast<std::size_t>(blocks), [&](std::size_t b) {
+    const std::int64_t i0 = static_cast<std::int64_t>(b) * kElementChunk;
+    body(i0, std::min(i0 + kElementChunk, n));
+  });
+}
+
+/// Throws unless every id indexes a row of a `vocab`-row table.
+void expect_ids_in_range(const DenseTensor& ids, std::int64_t vocab) {
+  const std::int32_t* id = ids.idata();
+  for (std::int64_t r = 0; r < ids.numel(); ++r)
+    expect(id[r] >= 0 && id[r] < vocab, "embedding id out of range");
+}
 
 /// outer/axis/inner decomposition for axis-wise data movement.
 struct AxisView {
@@ -278,38 +304,67 @@ void pointwise(ir::PointwiseFn fn, const std::vector<const DenseTensor*>& inputs
                double scale_alpha, DenseTensor& out, conc::ThreadPool& pool,
                KernelStats& stats) {
   expect(!inputs.empty(), "pointwise inputs");
+  // Checks the arity (throws on a mismatch) before any element is written.
+  const double flops_per_element = ir::pointwise_fn_flops_per_element(fn, inputs.size());
   const std::int64_t n = out.numel();
+  std::vector<const float*> src(inputs.size());
+  for (std::size_t j = 0; j < inputs.size(); ++j) src[j] = inputs[j]->fdata();
   float* o = out.fdata();
-  auto in = [&](std::size_t which, std::int64_t i) { return inputs[which]->f(i); };
+  const float* a = src[0];
+  const float* b = src.size() > 1 ? src[1] : nullptr;
+  const float alpha = static_cast<float>(scale_alpha);
   using Fn = ir::PointwiseFn;
-  conc::parallel_for(
-      pool, 0, static_cast<std::size_t>(n),
-      [&](std::size_t idx) {
-        const auto i = static_cast<std::int64_t>(idx);
-        switch (fn) {
-          case Fn::kAdd: o[i] = in(0, i) + in(1, i); break;
-          case Fn::kSub: o[i] = in(0, i) - in(1, i); break;
-          case Fn::kMul: o[i] = in(0, i) * in(1, i); break;
-          case Fn::kAddN: {
-            double acc = 0;
-            for (std::size_t j = 0; j < inputs.size(); ++j) acc += in(j, i);
-            o[i] = static_cast<float>(acc);
-            break;
-          }
-          case Fn::kSigmoid: o[i] = 1.0f / (1.0f + std::exp(-in(0, i))); break;
-          case Fn::kTanh: o[i] = std::tanh(in(0, i)); break;
-          case Fn::kRelu: o[i] = std::max(0.0f, in(0, i)); break;
-          case Fn::kOneMinus: o[i] = 1.0f - in(0, i); break;
-          case Fn::kScale: o[i] = static_cast<float>(scale_alpha) * in(0, i); break;
-          case Fn::kIdentity: o[i] = in(0, i); break;
-          case Fn::kSigmoidGrad: o[i] = in(1, i) * in(0, i) * (1.0f - in(0, i)); break;
-          case Fn::kTanhGrad: o[i] = in(1, i) * (1.0f - in(0, i) * in(0, i)); break;
-          case Fn::kReluGrad: o[i] = in(0, i) > 0 ? in(1, i) : 0.0f; break;
+  // Each case is the element's float expression, so the bits do not depend
+  // on the blocking. `o` may alias input 0 (the memory plan allows it):
+  // every element reads its inputs before it is written.
+  for_element_blocks(pool, n, [&](std::int64_t i0, std::int64_t i1) {
+    switch (fn) {
+      case Fn::kAdd:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = a[i] + b[i];
+        break;
+      case Fn::kSub:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = a[i] - b[i];
+        break;
+      case Fn::kMul:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = a[i] * b[i];
+        break;
+      case Fn::kAddN:
+        for (std::int64_t i = i0; i < i1; ++i) {
+          double acc = 0;
+          for (const float* x : src) acc += x[i];
+          o[i] = static_cast<float>(acc);
         }
-      },
-      kElementChunk);
-  stats.flops +=
-      ir::pointwise_fn_flops_per_element(fn, inputs.size()) * static_cast<double>(n);
+        break;
+      case Fn::kSigmoid:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = 1.0f / (1.0f + std::exp(-a[i]));
+        break;
+      case Fn::kTanh:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = std::tanh(a[i]);
+        break;
+      case Fn::kRelu:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = std::max(0.0f, a[i]);
+        break;
+      case Fn::kOneMinus:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = 1.0f - a[i];
+        break;
+      case Fn::kScale:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = alpha * a[i];
+        break;
+      case Fn::kIdentity:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = a[i];
+        break;
+      case Fn::kSigmoidGrad:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = b[i] * a[i] * (1.0f - a[i]);
+        break;
+      case Fn::kTanhGrad:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = b[i] * (1.0f - a[i] * a[i]);
+        break;
+      case Fn::kReluGrad:
+        for (std::int64_t i = i0; i < i1; ++i) o[i] = a[i] > 0 ? b[i] : 0.0f;
+        break;
+    }
+  });
+  stats.flops += flops_per_element * static_cast<double>(n);
   for (const DenseTensor* t : inputs) stats.bytes += tensor_bytes(*t);
   stats.bytes += tensor_bytes(out);
 }
@@ -327,7 +382,7 @@ void bias_add(const DenseTensor& in, const DenseTensor& bias, DenseTensor& out,
         const std::int64_t base = static_cast<std::int64_t>(r) * nb;
         for (std::int64_t c = 0; c < nb; ++c) o[base + c] = x[base + c] + b[c];
       },
-      kRowChunk);
+      row_grain(nb));
   stats.flops += static_cast<double>(in.numel());
   stats.bytes += tensor_bytes(in) + tensor_bytes(bias) + tensor_bytes(out);
 }
@@ -445,42 +500,48 @@ bool fused_pointwise_simd(const std::vector<ir::FusedInstr>& program,
 
 void embedding_lookup(const DenseTensor& table, const DenseTensor& ids, DenseTensor& out,
                       conc::ThreadPool& pool, KernelStats& stats) {
-  const std::int64_t v = table.dim(0), e = table.dim(1);
-  const std::int64_t rows = ids.numel();
+  const std::int64_t e = table.dim(1);
+  expect_ids_in_range(ids, table.dim(0));
+  const std::int32_t* id = ids.idata();
+  const float* t = table.fdata();
+  float* o = out.fdata();
   conc::parallel_for(
-      pool, 0, static_cast<std::size_t>(rows),
+      pool, 0, static_cast<std::size_t>(ids.numel()),
       [&](std::size_t idx) {
         const auto r = static_cast<std::int64_t>(idx);
-        const std::int32_t id = ids.i32(r);
-        expect(id >= 0 && id < v, "embedding id out of range");
-        const float* src = table.fdata() + static_cast<std::int64_t>(id) * e;
-        float* dst = out.fdata() + r * e;
-        for (std::int64_t c = 0; c < e; ++c) dst[c] = src[c];
+        std::copy_n(t + static_cast<std::int64_t>(id[r]) * e, e, o + r * e);
       },
-      kRowChunk);
+      row_grain(e));
   stats.bytes += 2.0 * tensor_bytes(out) + tensor_bytes(ids);
 }
 
 void embedding_grad(const DenseTensor& ids, const DenseTensor& dy, DenseTensor& dtable,
                     conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t e = dtable.dim(1);
-  std::fill(dtable.fdata(), dtable.fdata() + dtable.numel(), 0.0f);
+  // Before any write: an out-of-range id would scatter past the table.
+  expect_ids_in_range(ids, dtable.dim(0));
+  const std::int32_t* id = ids.idata();
+  const float* g = dy.fdata();
+  float* dt = dtable.fdata();
+  std::fill_n(dt, dtable.numel(), 0.0f);
   const std::int64_t rows = ids.numel();
   // Fixed-width column blocks (independent of thread count): each block
   // owns a disjoint slice of every table row and scans the lookup rows in
   // ascending order, so the per-element accumulation order never changes.
   constexpr std::int64_t kColBlock = 32;
   const std::int64_t blocks = (e + kColBlock - 1) / kColBlock;
-  conc::parallel_for(pool, 0, static_cast<std::size_t>(blocks), [&](std::size_t blk) {
-    const std::int64_t c0 = static_cast<std::int64_t>(blk) * kColBlock;
-    const std::int64_t c1 = std::min(e, c0 + kColBlock);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int64_t id = ids.i32(r);
-      const float* src = dy.fdata() + r * e;
-      float* dst = dtable.fdata() + id * e;
-      for (std::int64_t c = c0; c < c1; ++c) dst[c] += src[c];
-    }
-  });
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(blocks),
+      [&](std::size_t blk) {
+        const std::int64_t c0 = static_cast<std::int64_t>(blk) * kColBlock;
+        const std::int64_t c1 = std::min(e, c0 + kColBlock);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const float* src = g + r * e;
+          float* dst = dt + static_cast<std::int64_t>(id[r]) * e;
+          for (std::int64_t c = c0; c < c1; ++c) dst[c] += src[c];
+        }
+      },
+      row_grain(rows * kColBlock));
   stats.flops += static_cast<double>(dy.numel());
   stats.bytes += tensor_bytes(ids) + tensor_bytes(dy) + tensor_bytes(dtable);
 }
@@ -489,19 +550,21 @@ void softmax(const DenseTensor& logits, DenseTensor& out, conc::ThreadPool& pool
              KernelStats& stats) {
   const std::int64_t c = logits.dim(logits.rank() - 1);
   const std::int64_t rows = logits.numel() / c;
+  const float* in = logits.fdata();
+  float* o = out.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(rows),
       [&](std::size_t idx) {
         const auto r = static_cast<std::int64_t>(idx);
-        const float* x = logits.fdata() + r * c;
-        float* y = out.fdata() + r * c;
+        const float* x = in + r * c;
+        float* y = o + r * c;
         float m = x[0];
         for (std::int64_t i = 1; i < c; ++i) m = std::max(m, x[i]);
         double sum = 0;
         for (std::int64_t i = 0; i < c; ++i) sum += y[i] = std::exp(x[i] - m);
         for (std::int64_t i = 0; i < c; ++i) y[i] = static_cast<float>(y[i] / sum);
       },
-      kRowChunk);
+      row_grain(c));
   stats.flops += 5.0 * static_cast<double>(logits.numel());
   stats.bytes += tensor_bytes(logits) + tensor_bytes(out);
 }
@@ -510,17 +573,19 @@ void softmax_grad(const DenseTensor& y, const DenseTensor& dy, DenseTensor& dx,
                   conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t c = y.dim(y.rank() - 1);
   const std::int64_t rows = y.numel() / c;
+  const float* yv = y.fdata();
+  const float* g = dy.fdata();
+  float* o = dx.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(rows),
       [&](std::size_t idx) {
-        const auto r = static_cast<std::int64_t>(idx);
+        const std::int64_t base = static_cast<std::int64_t>(idx) * c;
         double dot = 0;
-        for (std::int64_t i = 0; i < c; ++i) dot += y.f(r * c + i) * dy.f(r * c + i);
-        for (std::int64_t i = 0; i < c; ++i)
-          dx.f(r * c + i) =
-              y.f(r * c + i) * (dy.f(r * c + i) - static_cast<float>(dot));
+        for (std::int64_t i = base; i < base + c; ++i) dot += yv[i] * g[i];
+        for (std::int64_t i = base; i < base + c; ++i)
+          o[i] = yv[i] * (g[i] - static_cast<float>(dot));
       },
-      kRowChunk);
+      row_grain(c));
   stats.flops += 4.0 * static_cast<double>(y.numel());
   stats.bytes += tensor_bytes(y) + tensor_bytes(dy) + tensor_bytes(dx);
 }
@@ -530,15 +595,18 @@ void softmax_xent(const DenseTensor& logits, const DenseTensor& labels, DenseTen
   softmax(logits, probs, pool, stats);
   const std::int64_t c = logits.dim(1);
   const std::int64_t rows = logits.dim(0);
+  const std::int32_t* lab = labels.idata();
+  const float* p = probs.fdata();
+  float* l = loss.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(rows),
       [&](std::size_t idx) {
         const auto r = static_cast<std::int64_t>(idx);
-        const std::int32_t label = labels.i32(r);
+        const std::int32_t label = lab[r];
         expect(label >= 0 && label < c, "label out of range");
-        loss.f(r) = -std::log(std::max(probs.f(r * c + label), 1e-30f));
+        l[r] = -std::log(std::max(p[r * c + label], 1e-30f));
       },
-      kRowChunk);
+      row_grain(1));
   stats.flops += static_cast<double>(logits.numel());
   stats.bytes += tensor_bytes(labels) + tensor_bytes(loss);
 }
@@ -548,16 +616,22 @@ void softmax_xent_grad(const DenseTensor& probs, const DenseTensor& labels,
                        conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t c = probs.dim(1);
   const std::int64_t rows = probs.dim(0);
+  const float* p = probs.fdata();
+  const std::int32_t* lab = labels.idata();
+  const float* dl = dloss.fdata();
+  float* o = dlogits.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(rows),
       [&](std::size_t idx) {
         const auto r = static_cast<std::int64_t>(idx);
-        const float d = dloss.f(r);
-        const std::int32_t label = labels.i32(r);
+        const float d = dl[r];
+        const std::int32_t label = lab[r];
+        const float* pr = p + r * c;
+        float* orow = o + r * c;
         for (std::int64_t i = 0; i < c; ++i)
-          dlogits.f(r * c + i) = (probs.f(r * c + i) - (i == label ? 1.0f : 0.0f)) * d;
+          orow[i] = (pr[i] - (i == label ? 1.0f : 0.0f)) * d;
       },
-      kRowChunk);
+      row_grain(c));
   stats.flops += 2.0 * static_cast<double>(probs.numel());
   stats.bytes += tensor_bytes(probs) + tensor_bytes(labels) + tensor_bytes(dloss) +
                  tensor_bytes(dlogits);
@@ -567,6 +641,8 @@ void reduce(ir::ReduceKind kind, const DenseTensor& in, DenseTensor& out,
             conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t keep = out.numel();
   const std::int64_t groups = in.numel() / keep;
+  const float* x = in.fdata();
+  float* o = out.fdata();
   // Parallel over kept elements; each sums its strided group in ascending
   // order on one iteration, so the reduction tree is fixed.
   conc::parallel_for(
@@ -574,11 +650,11 @@ void reduce(ir::ReduceKind kind, const DenseTensor& in, DenseTensor& out,
       [&](std::size_t idx) {
         const auto j = static_cast<std::int64_t>(idx);
         double acc = 0;
-        for (std::int64_t g = 0; g < groups; ++g) acc += in.f(g * keep + j);
+        for (std::int64_t g = 0; g < groups; ++g) acc += x[g * keep + j];
         if (kind == ir::ReduceKind::kMean) acc /= static_cast<double>(groups);
-        out.f(j) = static_cast<float>(acc);
+        o[j] = static_cast<float>(acc);
       },
-      kRowChunk);
+      row_grain(groups));
   stats.flops += static_cast<double>(in.numel()) +
                  (kind == ir::ReduceKind::kMean ? static_cast<double>(keep) : 0.0);
   stats.bytes += tensor_bytes(in) + tensor_bytes(out);
@@ -588,14 +664,14 @@ void broadcast(const DenseTensor& in, DenseTensor& out, conc::ThreadPool& pool,
                KernelStats& stats) {
   const std::int64_t inner = in.numel();
   const std::int64_t copies = out.numel() / inner;
+  const float* src = in.fdata();
+  float* o = out.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(copies),
       [&](std::size_t cidx) {
-        float* dst = out.fdata() + static_cast<std::int64_t>(cidx) * inner;
-        const float* src = in.fdata();
-        for (std::int64_t j = 0; j < inner; ++j) dst[j] = src[j];
+        std::copy_n(src, inner, o + static_cast<std::int64_t>(cidx) * inner);
       },
-      kRowChunk);
+      row_grain(inner));
   stats.bytes += tensor_bytes(in) + tensor_bytes(out);
 }
 
@@ -604,21 +680,27 @@ void batch_norm(const DenseTensor& in, const DenseTensor& scale, const DenseTens
   constexpr double kEps = 1e-5;
   const std::int64_t c = scale.numel();
   const std::int64_t rows = in.numel() / c;
-  conc::parallel_for(pool, 0, static_cast<std::size_t>(c), [&](std::size_t chidx) {
-    const auto ch = static_cast<std::int64_t>(chidx);
-    double mean = 0, var = 0;
-    for (std::int64_t r = 0; r < rows; ++r) mean += in.f(r * c + ch);
-    mean /= static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double d = in.f(r * c + ch) - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(rows);
-    const double inv = 1.0 / std::sqrt(var + kEps);
-    for (std::int64_t r = 0; r < rows; ++r)
-      out.f(r * c + ch) = static_cast<float>(
-          (in.f(r * c + ch) - mean) * inv * scale.f(ch) + shift.f(ch));
-  });
+  const float* x = in.fdata();
+  const float* sc = scale.fdata();
+  const float* sh = shift.fdata();
+  float* y = out.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(c),
+      [&](std::size_t chidx) {
+        const auto ch = static_cast<std::int64_t>(chidx);
+        double mean = 0, var = 0;
+        for (std::int64_t r = 0; r < rows; ++r) mean += x[r * c + ch];
+        mean /= static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double d = x[r * c + ch] - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(rows);
+        const double inv = 1.0 / std::sqrt(var + kEps);
+        for (std::int64_t r = 0; r < rows; ++r)
+          y[r * c + ch] = static_cast<float>((x[r * c + ch] - mean) * inv * sc[ch] + sh[ch]);
+      },
+      row_grain(rows));
   stats.flops += 8.0 * static_cast<double>(in.numel());
   stats.bytes +=
       tensor_bytes(in) + tensor_bytes(scale) + tensor_bytes(shift) + tensor_bytes(out);
@@ -630,33 +712,42 @@ void batch_norm_grad(const DenseTensor& in, const DenseTensor& scale,
   constexpr double kEps = 1e-5;
   const std::int64_t c = scale.numel();
   const std::int64_t rows = in.numel() / c;
-  conc::parallel_for(pool, 0, static_cast<std::size_t>(c), [&](std::size_t chidx) {
-    const auto ch = static_cast<std::int64_t>(chidx);
-    double mean = 0, var = 0;
-    for (std::int64_t r = 0; r < rows; ++r) mean += in.f(r * c + ch);
-    mean /= static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double d = in.f(r * c + ch) - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(rows);
-    const double inv = 1.0 / std::sqrt(var + kEps);
+  const float* x = in.fdata();
+  const float* sc = scale.fdata();
+  const float* g = dy.fdata();
+  float* o = dx.fdata();
+  float* dsc = dscale.fdata();
+  float* dsh = dshift.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(c),
+      [&](std::size_t chidx) {
+        const auto ch = static_cast<std::int64_t>(chidx);
+        double mean = 0, var = 0;
+        for (std::int64_t r = 0; r < rows; ++r) mean += x[r * c + ch];
+        mean /= static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double d = x[r * c + ch] - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(rows);
+        const double inv = 1.0 / std::sqrt(var + kEps);
 
-    double sum_dy = 0, sum_dy_xhat = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double xhat = (in.f(r * c + ch) - mean) * inv;
-      sum_dy += dy.f(r * c + ch);
-      sum_dy_xhat += dy.f(r * c + ch) * xhat;
-    }
-    dshift.f(ch) = static_cast<float>(sum_dy);
-    dscale.f(ch) = static_cast<float>(sum_dy_xhat);
-    const double n = static_cast<double>(rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double xhat = (in.f(r * c + ch) - mean) * inv;
-      dx.f(r * c + ch) = static_cast<float>(
-          scale.f(ch) * inv * (dy.f(r * c + ch) - sum_dy / n - xhat * sum_dy_xhat / n));
-    }
-  });
+        double sum_dy = 0, sum_dy_xhat = 0;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double xhat = (x[r * c + ch] - mean) * inv;
+          sum_dy += g[r * c + ch];
+          sum_dy_xhat += g[r * c + ch] * xhat;
+        }
+        dsh[ch] = static_cast<float>(sum_dy);
+        dsc[ch] = static_cast<float>(sum_dy_xhat);
+        const double n = static_cast<double>(rows);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const double xhat = (x[r * c + ch] - mean) * inv;
+          o[r * c + ch] = static_cast<float>(
+              sc[ch] * inv * (g[r * c + ch] - sum_dy / n - xhat * sum_dy_xhat / n));
+        }
+      },
+      row_grain(rows));
   stats.flops += 12.0 * static_cast<double>(in.numel());
   stats.bytes += tensor_bytes(in) + tensor_bytes(scale) + tensor_bytes(dy) +
                  tensor_bytes(dx) + tensor_bytes(dscale) + tensor_bytes(dshift);
@@ -729,25 +820,31 @@ void pool_grad(ir::PoolKind kind, const DenseTensor& in, const DenseTensor& out,
                  tensor_bytes(dx);
 }
 
+// Axis-wise data movement: an outer row of the concatenated tensor is the
+// parts' rows back to back, each one contiguous run of axis x inner
+// elements, so every part's row is a single std::copy_n.
+
 void concat(const std::vector<const DenseTensor*>& inputs, std::size_t axis,
             DenseTensor& out, conc::ThreadPool& pool, KernelStats& stats) {
   const AxisView ov = axis_view(out, axis);
-  std::int64_t offset = 0;
-  for (const DenseTensor* t : inputs) {
-    const AxisView iv = axis_view(*t, axis);
-    conc::parallel_for(
-        pool, 0, static_cast<std::size_t>(iv.outer),
-        [&](std::size_t oidx) {
-          const auto o = static_cast<std::int64_t>(oidx);
-          for (std::int64_t a = 0; a < iv.axis; ++a)
-            for (std::int64_t i = 0; i < iv.inner; ++i)
-              out.f((o * ov.axis + offset + a) * ov.inner + i) =
-                  t->f((o * iv.axis + a) * iv.inner + i);
-        },
-        kRowChunk);
-    offset += iv.axis;
-    stats.bytes += tensor_bytes(*t);
+  const std::int64_t row = ov.axis * ov.inner;
+  std::vector<const float*> src(inputs.size());
+  std::vector<std::int64_t> run(inputs.size());
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    src[j] = inputs[j]->fdata();
+    run[j] = axis_view(*inputs[j], axis).axis * ov.inner;
+    stats.bytes += tensor_bytes(*inputs[j]);
   }
+  float* o = out.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(ov.outer),
+      [&](std::size_t oidx) {
+        const auto r = static_cast<std::int64_t>(oidx);
+        float* dst = o + r * row;
+        for (std::size_t j = 0; j < src.size(); ++j)
+          dst = std::copy_n(src[j] + r * run[j], run[j], dst);
+      },
+      row_grain(row));
   stats.bytes += tensor_bytes(out);
 }
 
@@ -755,22 +852,26 @@ void split(const DenseTensor& in, std::size_t axis,
            const std::vector<DenseTensor*>& outs, conc::ThreadPool& pool,
            KernelStats& stats) {
   const AxisView iv = axis_view(in, axis);
-  std::int64_t offset = 0;
-  for (DenseTensor* t : outs) {
-    const AxisView ov = axis_view(*t, axis);
-    conc::parallel_for(
-        pool, 0, static_cast<std::size_t>(ov.outer),
-        [&](std::size_t oidx) {
-          const auto o = static_cast<std::int64_t>(oidx);
-          for (std::int64_t a = 0; a < ov.axis; ++a)
-            for (std::int64_t i = 0; i < ov.inner; ++i)
-              t->f((o * ov.axis + a) * ov.inner + i) =
-                  in.f((o * iv.axis + offset + a) * iv.inner + i);
-        },
-        kRowChunk);
-    offset += ov.axis;
-    stats.bytes += tensor_bytes(*t);
+  const std::int64_t row = iv.axis * iv.inner;
+  std::vector<float*> dst(outs.size());
+  std::vector<std::int64_t> run(outs.size());
+  for (std::size_t j = 0; j < outs.size(); ++j) {
+    dst[j] = outs[j]->fdata();
+    run[j] = axis_view(*outs[j], axis).axis * iv.inner;
+    stats.bytes += tensor_bytes(*outs[j]);
   }
+  const float* x = in.fdata();
+  conc::parallel_for(
+      pool, 0, static_cast<std::size_t>(iv.outer),
+      [&](std::size_t oidx) {
+        const auto r = static_cast<std::int64_t>(oidx);
+        const float* src = x + r * row;
+        for (std::size_t j = 0; j < dst.size(); ++j) {
+          std::copy_n(src, run[j], dst[j] + r * run[j]);
+          src += run[j];
+        }
+      },
+      row_grain(row));
   stats.bytes += tensor_bytes(in);
 }
 
@@ -778,16 +879,16 @@ void slice(const DenseTensor& in, std::size_t axis, std::int64_t offset, DenseTe
            conc::ThreadPool& pool, KernelStats& stats) {
   const AxisView iv = axis_view(in, axis);
   const AxisView ov = axis_view(out, axis);
+  const std::int64_t run = ov.axis * ov.inner;
+  const float* x = in.fdata() + offset * iv.inner;
+  float* o = out.fdata();
   conc::parallel_for(
       pool, 0, static_cast<std::size_t>(ov.outer),
       [&](std::size_t oidx) {
-        const auto o = static_cast<std::int64_t>(oidx);
-        for (std::int64_t a = 0; a < ov.axis; ++a)
-          for (std::int64_t i = 0; i < ov.inner; ++i)
-            out.f((o * ov.axis + a) * ov.inner + i) =
-                in.f((o * iv.axis + offset + a) * iv.inner + i);
+        const auto r = static_cast<std::int64_t>(oidx);
+        std::copy_n(x + r * iv.axis * iv.inner, run, o + r * run);
       },
-      kRowChunk);
+      row_grain(run));
   stats.bytes += 2.0 * tensor_bytes(out);
 }
 
@@ -800,53 +901,47 @@ void apply_gradient(ir::Optimizer optimizer, DenseTensor& weight, const DenseTen
                     const std::vector<DenseTensor*>& slots, double learning_rate,
                     conc::ThreadPool& pool, KernelStats& stats) {
   const std::int64_t n = weight.numel();
+  float* w = weight.fdata();
+  const float* g = grad.fdata();
+  const float lr = static_cast<float>(learning_rate);
   switch (optimizer) {
     case ir::Optimizer::kSGD:
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            weight.f(i) -= static_cast<float>(learning_rate) * grad.f(i);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) w[i] -= lr * g[i];
+      });
       stats.flops += 2.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad);
       return;
     case ir::Optimizer::kMomentum: {
       expect(slots.size() == 1, "momentum needs one slot");
-      DenseTensor& v = *slots[0];
+      float* v = slots[0]->fdata();
       constexpr float kMomentum = 0.9f;
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            v.f(i) = kMomentum * v.f(i) + grad.f(i);
-            weight.f(i) -= static_cast<float>(learning_rate) * v.f(i);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          v[i] = kMomentum * v[i] + g[i];
+          w[i] -= lr * v[i];
+        }
+      });
       stats.flops += 4.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad) +
-                     2.0 * tensor_bytes(v);
+                     2.0 * tensor_bytes(*slots[0]);
       return;
     }
     case ir::Optimizer::kAdam: {
       expect(slots.size() == 2, "adam needs two slots");
-      DenseTensor& m = *slots[0];
-      DenseTensor& v = *slots[1];
+      float* m = slots[0]->fdata();
+      float* v = slots[1]->fdata();
       constexpr float kB1 = 0.9f, kB2 = 0.999f, kEps = 1e-8f;
-      conc::parallel_for(
-          pool, 0, static_cast<std::size_t>(n),
-          [&](std::size_t idx) {
-            const auto i = static_cast<std::int64_t>(idx);
-            m.f(i) = kB1 * m.f(i) + (1 - kB1) * grad.f(i);
-            v.f(i) = kB2 * v.f(i) + (1 - kB2) * grad.f(i) * grad.f(i);
-            weight.f(i) -=
-                static_cast<float>(learning_rate) * m.f(i) / (std::sqrt(v.f(i)) + kEps);
-          },
-          kElementChunk);
+      for_element_blocks(pool, n, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          m[i] = kB1 * m[i] + (1 - kB1) * g[i];
+          v[i] = kB2 * v[i] + (1 - kB2) * g[i] * g[i];
+          w[i] -= lr * m[i] / (std::sqrt(v[i]) + kEps);
+        }
+      });
       stats.flops += 10.0 * static_cast<double>(n);
       stats.bytes += 2.0 * tensor_bytes(weight) + tensor_bytes(grad) +
-                     2.0 * tensor_bytes(m) + 2.0 * tensor_bytes(v);
+                     2.0 * tensor_bytes(*slots[0]) + 2.0 * tensor_bytes(*slots[1]);
       return;
     }
   }

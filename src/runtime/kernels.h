@@ -103,6 +103,8 @@ bool fused_pointwise_simd(const std::vector<ir::FusedInstr>& program,
                           conc::ThreadPool& pool, KernelStats& stats,
                           hw::SimdIsa isa);
 
+/// Both embedding kernels throw std::logic_error before writing anything
+/// when an id lies outside [0, table rows).
 void embedding_lookup(const DenseTensor& table, const DenseTensor& ids, DenseTensor& out,
                       conc::ThreadPool& pool, KernelStats& stats);
 // Scatter-add partitioned over embedding-column blocks: each task owns a

@@ -454,6 +454,109 @@ TEST(ParallelKernels, EmbeddingSoftmaxReduceBitwiseAcrossThreadCounts) {
   EXPECT_EQ(runs[0], runs[1]);
 }
 
+TEST(ParallelKernels, ElementAndRowKernelsBitwiseAcrossThreadCounts) {
+  // Sizes put several element blocks and several row chunks in every
+  // parallel loop, with a ragged last one.
+  const std::int64_t n = 3 * 4096 + 5, rows = 300, cols = 200;
+  using Fn = ir::PointwiseFn;
+  // y stays in (0, 1) so sigmoid/tanh-grad see realistic inputs; v > 0 for
+  // Adam's sqrt.
+  std::vector<float> yv = random_vec(static_cast<std::size_t>(n), 101);
+  for (float& y : yv) y = 0.5f + 0.45f * y;
+  const DenseTensor x0 = tensor_from({n}, random_vec(static_cast<std::size_t>(n), 97));
+  const DenseTensor x1 = tensor_from({n}, random_vec(static_cast<std::size_t>(n), 99));
+  const DenseTensor y = tensor_from({n}, yv);
+  const DenseTensor grid =
+      tensor_from({rows, cols}, random_vec(static_cast<std::size_t>(rows * cols), 103));
+  const DenseTensor grid2 =
+      tensor_from({rows, cols}, random_vec(static_cast<std::size_t>(rows * cols), 107));
+  const DenseTensor scale = tensor_from({cols}, random_vec(cols, 109));
+  const DenseTensor shift = tensor_from({cols}, random_vec(cols, 113));
+  const DenseTensor dloss = tensor_from({rows}, random_vec(rows, 127));
+  DenseTensor labels({rows}, ir::DataType::kInt32);
+  for (std::int64_t r = 0; r < rows; ++r)
+    labels.i32(r) = static_cast<std::int32_t>((r * 13) % cols);
+  const DenseTensor cube =
+      tensor_from({6, 40, 70}, random_vec(6 * 40 * 70, 131));
+
+  std::vector<std::vector<std::uint32_t>> runs;
+  for (int threads : {1, 3, 8}) {
+    conc::ThreadPool tp(static_cast<std::size_t>(threads));
+    KernelStats s;
+    std::vector<float> all;
+    auto keep = [&](const DenseTensor& t) {
+      all.insert(all.end(), t.fdata(), t.fdata() + t.numel());
+    };
+    for (Fn fn : {Fn::kAdd, Fn::kSub, Fn::kMul, Fn::kAddN, Fn::kSigmoid, Fn::kTanh,
+                  Fn::kRelu, Fn::kOneMinus, Fn::kScale, Fn::kIdentity, Fn::kSigmoidGrad,
+                  Fn::kTanhGrad, Fn::kReluGrad}) {
+      std::vector<const DenseTensor*> in;
+      switch (fn) {
+        case Fn::kAdd: case Fn::kSub: case Fn::kMul: case Fn::kReluGrad:
+          in = {&x0, &x1};
+          break;
+        case Fn::kSigmoidGrad: case Fn::kTanhGrad: in = {&y, &x1}; break;
+        case Fn::kAddN: in = {&x0, &x1, &y}; break;
+        default: in = {&x0}; break;
+      }
+      DenseTensor out({n}, ir::DataType::kFloat32);
+      pointwise(fn, in, 0.37, out, tp, s);
+      keep(out);
+    }
+    for (ir::Optimizer opt :
+         {ir::Optimizer::kSGD, ir::Optimizer::kMomentum, ir::Optimizer::kAdam}) {
+      DenseTensor w = x0;
+      DenseTensor m = x1;
+      DenseTensor v = y;
+      std::vector<DenseTensor*> slots;
+      if (opt == ir::Optimizer::kMomentum) slots = {&m};
+      if (opt == ir::Optimizer::kAdam) slots = {&m, &v};
+      for (int step = 0; step < 2; ++step)
+        apply_gradient(opt, w, x1, slots, 0.05, tp, s);
+      keep(w);
+      keep(m);
+      keep(v);
+    }
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      std::vector<std::int64_t> part_shape = cube.shape();
+      part_shape[axis] /= 2;
+      DenseTensor lo(part_shape, ir::DataType::kFloat32);
+      DenseTensor hi(part_shape, ir::DataType::kFloat32);
+      split(cube, axis, {&lo, &hi}, tp, s);
+      DenseTensor cat(cube.shape(), ir::DataType::kFloat32);
+      concat({&hi, &lo}, axis, cat, tp, s);
+      DenseTensor sl(part_shape, ir::DataType::kFloat32);
+      slice(cube, axis, cube.dim(axis) / 4, sl, tp, s);
+      keep(lo);
+      keep(hi);
+      keep(cat);
+      keep(sl);
+    }
+    for (ir::ReduceKind kind : {ir::ReduceKind::kSum, ir::ReduceKind::kMean}) {
+      DenseTensor red({cols}, ir::DataType::kFloat32);
+      reduce(kind, grid, red, tp, s);
+      keep(red);
+    }
+    DenseTensor dx({rows, cols}, ir::DataType::kFloat32);
+    softmax_grad(grid, grid2, dx, tp, s);
+    keep(dx);
+    softmax_xent_grad(grid, labels, dloss, dx, tp, s);
+    keep(dx);
+    DenseTensor bn({rows, cols}, ir::DataType::kFloat32);
+    batch_norm(grid, scale, shift, bn, tp, s);
+    keep(bn);
+    DenseTensor dscale({cols}, ir::DataType::kFloat32);
+    DenseTensor dshift({cols}, ir::DataType::kFloat32);
+    batch_norm_grad(grid, scale, grid2, bn, dscale, dshift, tp, s);
+    keep(bn);
+    keep(dscale);
+    keep(dshift);
+    runs.push_back(bits_of(all));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+  EXPECT_EQ(runs[0], runs[2]);
+}
+
 TEST(KernelBackendSwitch, ReferenceBackendRunsSeedKernelsWithinBound) {
   DenseTensor in = tensor_from({1, 4, 4, 2}, random_vec(4 * 4 * 2, 83));
   DenseTensor f = tensor_from({3, 3, 2, 3}, random_vec(3 * 3 * 2 * 3, 89));

@@ -21,10 +21,12 @@
 //  4. Codegen: fused-pointwise chains drawn from the paper's cells (LSTM
 //     cell epilogue, RHN carry gate, residual+bias ReLU, gate backprop)
 //     run compiled-vs-interpreter per supported ISA, plus the blocked GEMM
-//     with the scalar 4x8 micro-kernel vs the register-tile-rule compiled
-//     one. Exact-ops chains must match the interpreter bitwise; sigmoid/
-//     tanh chains within epsilon. Outside --smoke, at least one chain must
-//     clear a 2x compiled speedup or the run fails.
+//     packed for the seed 4x8 tile (the scalar micro-kernel) vs the
+//     register-tile-rule compiled one. Each chain is lowered once outside
+//     the timed region, as the executor does. Exact-ops chains must match
+//     the interpreter bitwise; sigmoid/tanh chains within epsilon. Outside
+//     --smoke, at least one chain must clear a 2x compiled speedup or the
+//     run fails.
 //  5. Element and row kernels on word_lm's shapes (h128, batch 16): the
 //     256x512 weight-gradient accumulation add, the [16x128]+[16x128]
 //     concat, the [16x512] -> 4x[16x128] split and Adam on 256x512, in
@@ -42,14 +44,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/concurrency/thread_pool.h"
 #include "src/hw/cache_model.h"
 #include "src/hw/cpu_features.h"
-#include "src/runtime/codegen/dispatch.h"
+#include "src/runtime/codegen/lowering.h"
 #include "src/runtime/datapar.h"
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
@@ -168,7 +169,7 @@ GemmResult bench_gemm_shape(const GemmShape& shape, conc::ThreadPool& pool, int 
   res.model_traffic_bytes =
       hw::tiled_matmul_bytes(static_cast<double>(shape.m), static_cast<double>(shape.n),
                              static_cast<double>(shape.k), 1.0, sizeof(float),
-                             rt::gemm_model_cache_bytes());
+                             rt::kGemmModelCacheBytes);
   // sum_p |a_ip * b_pj| per element, accumulated in double by the reference.
   std::vector<float> abs_sum(c_elems);
   rt::reference_gemm(abs_of(a).data(), abs_of(b).data(), abs_sum.data(), 1, shape.m,
@@ -409,9 +410,11 @@ ChainResult bench_chain(const ChainSpec& spec, conc::ThreadPool& pool, int reps)
   rt::DenseTensor out_interp({n}, ir::DataType::kFloat32);
   rt::DenseTensor out_simd({n}, ir::DataType::kFloat32);
 
-  std::vector<double> alphas;
+  std::vector<float> alphas;
   for (const ir::FusedInstr& ins : spec.program)
-    alphas.push_back(ins.alpha.eval(sym::Bindings{}));
+    alphas.push_back(static_cast<float>(ins.alpha.eval(sym::Bindings{})));
+  const rt::codegen::LoweredProgram lowered =
+      rt::codegen::lower_program(spec.program, inputs.size());
 
   double moved_bytes = static_cast<double>(n) * sizeof(float);
   for (std::int64_t e : spec.input_elems)
@@ -435,9 +438,7 @@ ChainResult bench_chain(const ChainSpec& spec, conc::ThreadPool& pool, int reps)
         hw::SimdIsa::kNeon}) {
     if (!hw::isa_supported(isa)) continue;
     const double t = time_best(reps, [&] {
-      if (!rt::fused_pointwise_simd(spec.program, inputs, alphas, out_simd, pool,
-                                    stats, isa))
-        throw std::runtime_error("compiled path refused a benchmark chain");
+      rt::fused_pointwise_simd(lowered, inputs, alphas, out_simd, pool, stats, isa);
     });
     ChainIsaResult r;
     r.isa = hw::simd_isa_name(isa);
@@ -467,11 +468,11 @@ struct UkrResult {
   std::string simd_tile;
 };
 
-/// Blocked GEMM with the seed 4x8 scalar micro-kernel vs the register-tile
-/// rule's compiled one — the same packing and cache tiling either way, so
-/// the delta is the micro-kernel. The two must agree bitwise (the vector
-/// kernel replicates the scalar tile's unfused fp32 multiply-then-add
-/// order).
+/// Blocked GEMM packed for the seed 4x8 tile (the scalar micro-kernel) vs
+/// the register-tile rule's compiled one — the same cache tiling either
+/// way, so the delta is the micro-kernel. The two must agree bitwise (the
+/// vector kernel replicates the scalar tile's unfused fp32
+/// multiply-then-add order).
 UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int reps) {
   const std::vector<float> a =
       random_vec(static_cast<std::size_t>(shape.m * shape.k), 61);
@@ -484,9 +485,9 @@ UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int rep
   UkrResult res;
   res.label = shape.label;
 
-  rt::codegen::set_forced_isa(hw::SimdIsa::kScalar);
   {
-    const rt::GemmTiling tiling = rt::default_gemm_tiling();
+    const rt::GemmTiling tiling = rt::select_gemm_tiling(
+        rt::kGemmModelCacheBytes, sizeof(float), {rt::kGemmMr, rt::kGemmNr});
     res.scalar_tile = std::to_string(tiling.mr) + "x" + std::to_string(tiling.nr);
     const double t = time_best(reps, [&] {
       rt::blocked_gemm(a.data(), b.data(), c_scalar.data(), 1, shape.m, shape.n,
@@ -494,7 +495,6 @@ UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int rep
     });
     res.scalar_gflops = flops / t / 1e9;
   }
-  rt::codegen::set_forced_isa(hw::best_simd_isa());
   {
     const rt::GemmTiling tiling = rt::default_gemm_tiling();
     res.simd_tile = std::to_string(tiling.mr) + "x" + std::to_string(tiling.nr);
@@ -504,7 +504,6 @@ UkrResult bench_gemm_ukr(const GemmShape& shape, conc::ThreadPool& pool, int rep
     });
     res.simd_gflops = flops / t / 1e9;
   }
-  rt::codegen::set_forced_isa(std::nullopt);
 
   res.speedup = res.simd_gflops / res.scalar_gflops;
   res.bitwise_match = bitwise_equal(c_scalar, c_simd);
@@ -708,7 +707,7 @@ void write_json(const std::string& path, std::size_t threads,
         {{"label", r.label}, {"shape", r.shape}, {"us_per_call", r.us_per_call},
          {"gbytes_per_s", r.gbytes_per_s}, {"bitwise_ok", r.bitwise_ok}}));
   const util::Json doc = util::Json::object(
-      {{"threads", threads}, {"model_cache_bytes", rt::gemm_model_cache_bytes()},
+      {{"threads", threads}, {"model_cache_bytes", rt::kGemmModelCacheBytes},
        {"gemm", gemm_rows}, {"conv", conv_rows}, {"traffic_sweep", traffic_rows},
        {"traffic_trend_matches_model", traffic_trend_ok},
        {"element_kernels", element_rows},

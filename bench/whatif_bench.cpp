@@ -28,41 +28,20 @@
 // number against one predicted number, and the sequential span is the
 // most repeatable of the executor's schedules at these sizes.
 //
-// A second section runs the same recipe on the OTHER optimization this
-// repo can both predict and execute: the compiled SIMD pointwise path.
-// Each model's fused step is profiled with the interpreter kernels
-// (ExecutorOptions::simd off — every FusedPointwise op tagged
-// "pointwise-interp"), the per-class speedup is microbenchmarked on the
-// model's own largest fused program (interp vs compiled, outside the
-// step), the interp trace is rewritten with scale_kernel_class and
-// re-simulated, and the prediction is compared against an interleaved
-// measured step with simd on. Hard failures: kernel_class tags missing
-// from either profile, op counts differing between the two paths, or
-// (word_lm again) relative span error above the same 15% gate.
-//
 // Flags: --smoke (2 models, fewer reps — CI), --threads N (pool for the
 // executor; the schedule stays sequential), --out PATH.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/concurrency/thread_pool.h"
-#include "src/ir/fusion.h"
-#include "src/ir/graph.h"
-#include "src/ir/ops.h"
-#include "src/ir/serialize.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/kernels.h"
 #include "src/util/format.h"
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -164,152 +143,6 @@ std::pair<rt::ProfileReport, rt::ProfileReport> profile_both(
   return {std::move(best_u), std::move(best_f)};
 }
 
-// ---------------------------------------------------------------------------
-// Section 2: SIMD codegen payoff predicted from an interpreter-path profile.
-// ---------------------------------------------------------------------------
-
-/// Interleaved best-of-reps fused steps: simd off (interpreter pointwise,
-/// tagged "pointwise-interp") and simd on ("pointwise-simd").
-std::pair<rt::ProfileReport, rt::ProfileReport> profile_simd_pair(
-    const models::ModelSpec& spec, const sym::Bindings& bind, conc::ThreadPool& pool,
-    int reps) {
-  rt::ExecutorOptions opt;
-  opt.pool = &pool;
-  opt.fuse = true;
-  opt.memory_plan = true;
-  opt.schedule = rt::Schedule::kSequential;
-  opt.simd = false;
-  rt::ExecutorOptions simd_opt = opt;
-  simd_opt.simd = true;
-  rt::Executor interp(*spec.graph, bind, opt);
-  rt::Executor simd(*spec.graph, bind, simd_opt);
-  interp.run_step();
-  interp.run_step();
-  simd.run_step();
-  simd.run_step();
-  rt::ProfileReport best_i = interp.run_step();
-  rt::ProfileReport best_s = simd.run_step();
-  for (int r = 1; r < reps; ++r) {
-    rt::ProfileReport i = interp.run_step();
-    if (i.wall_seconds < best_i.wall_seconds) best_i = i;
-    rt::ProfileReport s = simd.run_step();
-    if (s.wall_seconds < best_s.wall_seconds) best_s = s;
-  }
-  return {std::move(best_i), std::move(best_s)};
-}
-
-std::vector<float> random_vec(std::size_t n, std::uint32_t seed) {
-  std::vector<float> v(n);
-  std::uint32_t s = seed * 2654435761u + 1u;
-  for (std::size_t i = 0; i < n; ++i) {
-    s ^= s << 13;
-    s ^= s >> 17;
-    s ^= s << 5;
-    v[i] = static_cast<float>(s % 20011u) / 10005.5f - 1.0f;
-  }
-  return v;
-}
-
-/// The microbenchmark that feeds the prediction: interp-vs-compiled
-/// speedup of the model's own largest fused pointwise program at its real
-/// step size. One measured number per model — the Daydream approximation
-/// applies it to EVERY pointwise-interp op in the trace; how well that
-/// single-point model holds across the model's mix of program sizes is
-/// exactly what the cross-check measures. Returns 1 when the fused graph
-/// has no pointwise programs.
-double microbench_simd_speedup(const ir::Graph& graph, const sym::Bindings& bind,
-                               conc::ThreadPool& pool) {
-  const std::unique_ptr<ir::Graph> fused = ir::clone_graph(graph);
-  ir::fuse_graph(*fused);
-  const ir::FusedPointwiseOp* largest = nullptr;
-  std::int64_t largest_elems = 0;
-  for (const ir::Op* op : fused->topological_order()) {
-    if (op->type() != ir::OpType::kFusedPointwise) continue;
-    const auto dims = op->output(0)->shape().eval(bind);
-    std::int64_t elems = 1;
-    for (std::int64_t d : dims) elems *= d;
-    if (elems > largest_elems) {
-      largest_elems = elems;
-      largest = static_cast<const ir::FusedPointwiseOp*>(op);
-    }
-  }
-  if (largest == nullptr) return 1.0;
-
-  std::vector<rt::DenseTensor> storage;
-  storage.reserve(largest->inputs().size());
-  std::vector<const rt::DenseTensor*> inputs;
-  for (std::size_t i = 0; i < largest->inputs().size(); ++i) {
-    auto dims = largest->inputs()[i]->shape().eval(bind);
-    storage.emplace_back(dims, ir::DataType::kFloat32);
-    const auto n = static_cast<std::size_t>(storage.back().numel());
-    const std::vector<float> v = random_vec(n, static_cast<std::uint32_t>(71 + i));
-    std::memcpy(storage.back().fdata(), v.data(), n * sizeof(float));
-  }
-  for (const rt::DenseTensor& t : storage) inputs.push_back(&t);
-  rt::DenseTensor out(largest->output(0)->shape().eval(bind), ir::DataType::kFloat32);
-  std::vector<double> alphas;
-  for (const ir::FusedInstr& ins : largest->program())
-    alphas.push_back(ins.alpha.eval(bind));
-
-  // Tiny tensors: take the best of many reps so the ratio is a kernel
-  // property, not a scheduling artifact.
-  const int reps = 64;
-  rt::KernelStats stats;
-  double t_interp = 1e300;
-  double t_simd = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    rt::fused_pointwise(largest->program(), inputs, alphas, out, pool, stats);
-    t_interp = std::min(
-        t_interp, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-    t0 = std::chrono::steady_clock::now();
-    if (!rt::fused_pointwise_simd(largest->program(), inputs, alphas, out, pool,
-                                  stats, hw::best_simd_isa()))
-      return 1.0;
-    t_simd = std::min(
-        t_simd, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                    .count());
-  }
-  return t_interp / t_simd;
-}
-
-struct SimdCaseResult {
-  std::string name;
-  bool gated = false;
-  std::size_t ops = 0;
-  std::size_t ops_simd = 0;
-  std::size_t pointwise_ops = 0;
-  bool tags_ok = false;    // interp profile all "pointwise-interp", simd all
-                           // "pointwise-simd" on FusedPointwise ops
-  double kernel_speedup = 0;  // microbenchmarked per-class speedup
-  double interp_span = 0;
-  double predicted_span = 0;
-  double measured_span = 0;
-
-  double relative_error() const {
-    return measured_span > 0 ? std::fabs(predicted_span - measured_span) / measured_span
-                             : 0;
-  }
-  bool gate_ok() const { return !gated || relative_error() <= kGateThreshold; }
-  bool ok() const { return tags_ok && ops == ops_simd && gate_ok(); }
-};
-
-/// Every FusedPointwise op must carry the expected implementation tag;
-/// other op types carry none today, and any tag on them is fine.
-bool check_tags(const whatif::Trace& trace, const char* expected,
-                std::size_t* pointwise_ops) {
-  std::size_t count = 0;
-  bool ok = true;
-  for (const whatif::TraceOp& op : trace.ops) {
-    if (op.type != "FusedPointwise") continue;
-    ++count;
-    ok = ok && op.kernel_class == expected;
-  }
-  *pointwise_ops = count;
-  return ok;
-}
-
 struct CaseResult {
   std::string name;
   bool gated = false;
@@ -334,8 +167,7 @@ struct CaseResult {
 };
 
 void write_json(const std::string& path, std::size_t threads,
-                const std::vector<CaseResult>& results,
-                const std::vector<SimdCaseResult>& simd_results) {
+                const std::vector<CaseResult>& results) {
   util::Json models = util::Json::array();
   for (const CaseResult& r : results)
     models.push_back(util::Json::object(
@@ -352,19 +184,9 @@ void write_json(const std::string& path, std::size_t threads,
          {"measured_speedup",
           r.measured_span > 0 ? r.unfused_span / r.measured_span : 0.0},
          {"pass", r.ok()}}));
-  util::Json simd_cases = util::Json::array();
-  for (const SimdCaseResult& r : simd_results)
-    simd_cases.push_back(util::Json::object(
-        {{"name", r.name}, {"gated", r.gated}, {"ops", r.ops}, {"ops_simd", r.ops_simd},
-         {"pointwise_ops", r.pointwise_ops}, {"kernel_class_tags_ok", r.tags_ok},
-         {"microbench_kernel_speedup", r.kernel_speedup},
-         {"interp_span_seconds", r.interp_span},
-         {"predicted_simd_span_seconds", r.predicted_span},
-         {"measured_simd_span_seconds", r.measured_span},
-         {"relative_error", r.relative_error()}, {"pass", r.ok()}}));
   const util::Json doc =
       util::Json::object({{"threads", threads}, {"gate_threshold", kGateThreshold},
-                          {"models", models}, {"simd_cases", simd_cases}});
+                          {"models", models}});
   std::ofstream(path) << doc.dump() << "\n";
 }
 
@@ -447,50 +269,7 @@ int main(int argc, char** argv) {
             << threads << ") ==\n";
   table.print(std::cout);
 
-  // Section 2: predict the SIMD codegen payoff from the interpreter-path
-  // profile, then check against an interleaved measured SIMD step.
-  std::vector<SimdCaseResult> simd_results;
-  util::Table simd_table({"model", "pw ops", "kernel x", "interp span", "pred span",
-                          "meas span", "err", "checks"});
-  for (ModelCase& c : bench_models(smoke)) {
-    const sym::Bindings bind = c.spec.bind(c.hidden, c.batch);
-    SimdCaseResult r;
-    r.name = c.name;
-    r.gated = c.gated;
-
-    const auto [interp, simd] = profile_simd_pair(c.spec, bind, pool, reps);
-    const whatif::Trace trace = whatif::from_report(interp);
-    const whatif::Trace simd_trace = whatif::from_report(simd);
-    r.ops = trace.ops.size();
-    r.ops_simd = simd_trace.ops.size();
-    r.interp_span = trace.span_seconds();
-    r.measured_span = simd_trace.span_seconds();
-    std::size_t pw_simd = 0;
-    r.tags_ok = check_tags(trace, "pointwise-interp", &r.pointwise_ops) &&
-                check_tags(simd_trace, "pointwise-simd", &pw_simd) &&
-                r.pointwise_ops == pw_simd;
-
-    r.kernel_speedup = microbench_simd_speedup(*c.spec.graph, bind, pool);
-    whatif::ResimOptions opt;
-    opt.overhead_seconds_per_op = whatif::calibrate_overhead(trace);
-    const whatif::Trace scaled = whatif::scale_kernel_class(
-        trace, whatif::ScaleClass{"pointwise-interp", r.kernel_speedup});
-    r.predicted_span = whatif::resimulate(scaled, opt).makespan_seconds;
-
-    ok = ok && r.ok();
-    simd_table.add_row({r.name, std::to_string(r.pointwise_ops),
-                        ratio_str(r.kernel_speedup),
-                        util::format_duration(r.interp_span, 3),
-                        util::format_duration(r.predicted_span, 3),
-                        util::format_duration(r.measured_span, 3),
-                        util::format_percent(r.relative_error()),
-                        r.ok() ? (r.gated ? "ok (gated)" : "ok") : "FAIL"});
-    simd_results.push_back(r);
-  }
-  std::cout << "\n== what-if SIMD codegen prediction vs measurement ==\n";
-  simd_table.print(std::cout);
-
-  write_json(out_path, threads, results, simd_results);
+  write_json(out_path, threads, results);
   std::cout << "wrote " << out_path << "\n";
   if (!ok) {
     std::cerr << "whatif_bench: op-count / identity / " << kGateThreshold * 100

@@ -29,8 +29,8 @@
 // <domain> is one of: wordlm charlm nmt speech image transformer
 //
 // cpu prints the probed SIMD capabilities of the executing machine, the
-// compiled ISA the runtime would pick (GF_SIMD-aware), and the GEMM
-// register micro-tile each ISA gets from hw::register_tile_rule.
+// compiled ISA the runtime runs, and the GEMM register micro-tile each ISA
+// gets from hw::register_tile_rule.
 //
 // whatif re-simulates a profiled trace (written by `gfctl trace`) under a
 // hypothetical optimization — Daydream-style: transform the measured
@@ -77,7 +77,6 @@
 #include "src/gradient_frontier.h"
 #include "src/hw/cpu_features.h"
 #include "src/ir/serialize.h"
-#include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/datapar.h"
 
 namespace {
@@ -182,17 +181,11 @@ int cmd_cpu() {
             << " neon=" << (f.neon ? "yes" : "no")
             << " max-vector-width=" << f.max_vector_width_floats << " floats\n";
   std::cout << "best compiled isa: " << hw::simd_isa_name(hw::best_simd_isa())
-            << "\n";
-  std::cout << "active isa (GF_SIMD-resolved): "
-            << hw::simd_isa_name(rt::codegen::active_isa()) << "\n";
-  std::cout << "executor default: "
-            << (rt::codegen::simd_env_default() ? "compiled" : "interpreter")
-            << " pointwise kernels\n\n";
+            << "\n\n";
   util::Table table(
       {"isa", "supported", "width (f32)", "vector regs", "gemm tile mr x nr"});
-  for (const hw::SimdIsa isa :
-       {hw::SimdIsa::kScalar, hw::SimdIsa::kGeneric, hw::SimdIsa::kAvx2,
-        hw::SimdIsa::kAvx512, hw::SimdIsa::kNeon}) {
+  for (const hw::SimdIsa isa : {hw::SimdIsa::kGeneric, hw::SimdIsa::kAvx2,
+                                hw::SimdIsa::kAvx512, hw::SimdIsa::kNeon}) {
     const hw::RegisterTile tile = hw::register_tile_rule(isa);
     table.add_row({hw::simd_isa_name(isa),
                    hw::isa_supported(isa) ? "yes" : "no",

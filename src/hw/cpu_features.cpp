@@ -1,32 +1,17 @@
 #include "src/hw/cpu_features.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace gf::hw {
 
 const char* simd_isa_name(SimdIsa isa) {
   switch (isa) {
-    case SimdIsa::kScalar: return "scalar";
     case SimdIsa::kGeneric: return "generic";
     case SimdIsa::kAvx2: return "avx2";
     case SimdIsa::kAvx512: return "avx512";
     case SimdIsa::kNeon: return "neon";
   }
   return "?";
-}
-
-std::optional<SimdIsa> parse_simd_isa(const std::string& spelling) {
-  if (spelling.empty() || spelling == "0" || spelling == "scalar")
-    return SimdIsa::kScalar;
-  if (spelling == "1" || spelling == "auto") return std::nullopt;
-  if (spelling == "generic") return SimdIsa::kGeneric;
-  if (spelling == "avx2") return SimdIsa::kAvx2;
-  if (spelling == "avx512") return SimdIsa::kAvx512;
-  if (spelling == "neon") return SimdIsa::kNeon;
-  throw std::invalid_argument(
-      "GF_SIMD: unknown ISA '" + spelling +
-      "' (expected scalar, generic, avx2, avx512, neon, or auto)");
 }
 
 namespace {
@@ -54,7 +39,6 @@ const CpuFeatures& cpu_features() {
 
 bool isa_supported(SimdIsa isa, const CpuFeatures& features) {
   switch (isa) {
-    case SimdIsa::kScalar:
     case SimdIsa::kGeneric: return true;
     case SimdIsa::kAvx2: return features.avx2;
     case SimdIsa::kAvx512: return features.avx512f;
@@ -72,7 +56,6 @@ SimdIsa best_simd_isa(const CpuFeatures& features) {
 
 int simd_width_floats(SimdIsa isa) {
   switch (isa) {
-    case SimdIsa::kScalar: return 1;
     case SimdIsa::kGeneric: return 8;
     case SimdIsa::kAvx2: return 8;
     case SimdIsa::kAvx512: return 16;
@@ -83,7 +66,6 @@ int simd_width_floats(SimdIsa isa) {
 
 int simd_register_count(SimdIsa isa) {
   switch (isa) {
-    case SimdIsa::kScalar: return 16;
     case SimdIsa::kGeneric: return 16;
     case SimdIsa::kAvx2: return 16;
     case SimdIsa::kAvx512: return 32;
@@ -93,7 +75,6 @@ int simd_register_count(SimdIsa isa) {
 }
 
 RegisterTile register_tile_rule(SimdIsa isa) {
-  if (isa == SimdIsa::kScalar) return RegisterTile{4, 8};  // the seed tile
   const std::int64_t width = simd_width_floats(isa);
   const std::int64_t regs = simd_register_count(isa);
   // B-row floats per micro-tile: whole vectors, at least the seed tile's 8.

@@ -12,33 +12,22 @@
 //     value and one packed B row must fit the architectural vector register
 //     file, exactly as the KC/MC/NC cache blocks must fit the modeled cache.
 //
-// The GF_SIMD environment variable (and programmatic overrides layered on
-// top of it in src/runtime/codegen/dispatch.h) selects which ISA the
-// runtime actually uses; requesting an ISA the CPU lacks falls back to the
-// best available one rather than faulting. "scalar" disables the compiled
-// paths entirely — that is the bitwise reference the sanitizer CI runs.
+// The runtime runs the widest ISA the CPU supports (`best_simd_isa()`);
+// src/runtime/codegen/dispatch.h's set_forced_isa lets tests and benches
+// pin another one, and a request the CPU cannot execute falls back to the
+// best available ISA rather than faulting.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 namespace gf::hw {
 
-/// Instruction sets the codegen layer can target. kScalar is not a
-/// compiled target: it names the retained interpreter / reference kernels
-/// (the bitwise-determinism baseline). kGeneric is the compiled portable
-/// path — the same vectorized loops built without ISA-specific flags — and
-/// is available on every CPU.
-enum class SimdIsa : std::uint8_t { kScalar, kGeneric, kAvx2, kAvx512, kNeon };
+/// Instruction sets the codegen layer can target. kGeneric is the
+/// portable path — the same vectorized loops built without ISA-specific
+/// flags — and is available on every CPU.
+enum class SimdIsa : std::uint8_t { kGeneric, kAvx2, kAvx512, kNeon };
 
 const char* simd_isa_name(SimdIsa isa);
-
-/// Parses a GF_SIMD-style spelling: "scalar"/"0"/"" -> kScalar,
-/// "generic" -> kGeneric, "avx2" -> kAvx2, "avx512" -> kAvx512,
-/// "neon" -> kNeon, "auto"/"1" -> nullopt (meaning: best available).
-/// Unknown spellings throw std::invalid_argument.
-std::optional<SimdIsa> parse_simd_isa(const std::string& spelling);
 
 /// What the executing CPU can run, probed once (GCC/Clang builtins on
 /// x86-64, architecture macros on AArch64).
@@ -54,16 +43,16 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// True when the probed CPU can execute code compiled for `isa`.
-/// kScalar and kGeneric are always supported.
+/// kGeneric is always supported.
 bool isa_supported(SimdIsa isa, const CpuFeatures& features = cpu_features());
 
 /// Widest supported compiled ISA for the probed CPU (kGeneric when no
 /// vector extension is available).
 SimdIsa best_simd_isa(const CpuFeatures& features = cpu_features());
 
-/// Float lanes per vector register for an ISA (1 for kScalar; kGeneric
-/// uses 8 — the portable loops are written 8 wide and lowered by the
-/// compiler to whatever the baseline ISA provides).
+/// Float lanes per vector register for an ISA (kGeneric uses 8 — the
+/// portable loops are written 8 wide and lowered by the compiler to
+/// whatever the baseline ISA provides).
 int simd_width_floats(SimdIsa isa);
 
 /// Architectural vector register count the ISA guarantees (16 for
@@ -85,7 +74,6 @@ struct RegisterTile {
 ///        vectors, because the micro-kernels round a*b to float before the
 ///        add (no FMA) so every product is a value of its own; 4 registers
 ///        stay free for the broadcast A value and the packed B row.
-/// kScalar keeps the seed 4x8 tile, preserving the pre-codegen layout.
 RegisterTile register_tile_rule(SimdIsa isa);
 
 }  // namespace gf::hw

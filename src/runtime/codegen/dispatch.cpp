@@ -1,31 +1,12 @@
 #include "src/runtime/codegen/dispatch.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "src/runtime/codegen/exec_detail.h"
 
 namespace gf::rt::codegen {
 namespace {
-
-/// GF_SIMD, parsed once. A malformed value is a warning plus scalar rather
-/// than an abort: the variable is an operator knob, and the safe reference
-/// path is always a valid meaning for it.
-SimdIsa env_default_isa() {
-  static const SimdIsa isa = [] {
-    const char* e = std::getenv("GF_SIMD");
-    if (e == nullptr) return SimdIsa::kScalar;
-    try {
-      return hw::parse_simd_isa(e).value_or(hw::best_simd_isa());
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "gf: %s; using scalar kernels\n", ex.what());
-      return SimdIsa::kScalar;
-    }
-  }();
-  return isa;
-}
 
 std::optional<SimdIsa>& forced_isa() {
   static std::optional<SimdIsa> forced;
@@ -66,19 +47,16 @@ GemmUkrFn gemm_ukr_for(SimdIsa isa) {
 }  // namespace
 
 SimdIsa resolve_isa(SimdIsa requested) {
-  if (requested == SimdIsa::kScalar) return SimdIsa::kScalar;
   if (hw::isa_supported(requested) && run_block_for(requested) != nullptr)
     return requested;
   return hw::best_simd_isa();
 }
 
-SimdIsa active_isa() {
-  return resolve_isa(forced_isa().value_or(env_default_isa()));
+SimdIsa active_isa() { return forced_isa().value_or(hw::best_simd_isa()); }
+
+void set_forced_isa(std::optional<SimdIsa> isa) {
+  forced_isa() = isa ? std::optional<SimdIsa>(resolve_isa(*isa)) : std::nullopt;
 }
-
-void set_forced_isa(std::optional<SimdIsa> isa) { forced_isa() = isa; }
-
-bool simd_env_default() { return env_default_isa() != SimdIsa::kScalar; }
 
 hw::RegisterTile gemm_register_tile(SimdIsa isa) {
   return hw::register_tile_rule(resolve_isa(isa));

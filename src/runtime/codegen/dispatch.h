@@ -4,20 +4,16 @@
 // per target ISA (translation units under src/runtime/codegen/, each built
 // with that ISA's flags) from one shared body written against GCC/Clang
 // vector extensions. This header owns the choice of which one runs:
-//
-//   active_isa() resolves, in priority order,
-//     1. the programmatic override (set_forced_isa — tests and benches),
-//     2. the GF_SIMD environment variable (read once):
-//          unset | "" | "0" | "scalar"  -> kScalar (interpreter/reference)
-//          "1" | "auto"                 -> widest ISA the CPU supports
-//          "generic"|"avx2"|"avx512"|"neon" -> that ISA
-//     3. kScalar.
-//   Requesting an ISA the probed CPU cannot execute falls back to the
-//   widest supported one (never SIGILL); resolve_isa() exposes the rule.
+// active_isa() is the widest ISA the CPU supports unless a test or bench
+// pinned another with set_forced_isa. Requesting an ISA the probed CPU
+// cannot execute falls back to the widest supported one (never SIGILL);
+// resolve_isa() exposes the rule.
 //
 // Numerics contract (tested in test_codegen, gated in kernel_bench):
-//   - The compiled GEMM micro-kernels are bitwise-equal to the scalar one
-//     on every ISA: lanes vectorize the n-dimension, and each output
+//   - The compiled GEMM micro-kernels are bitwise-equal to blocked_gemm's
+//     runtime-sized scalar micro-kernel (the test oracle, reached by
+//     packing for the seed tile {kGemmMr, kGemmNr}) on every ISA: lanes
+//     vectorize the n-dimension, and each output
 //     element adds float-rounded products to a float accumulator in
 //     ascending-k order with no fused multiply-add, so the per-element
 //     operation sequence is unchanged. Against the double-accumulating
@@ -42,28 +38,24 @@ namespace gf::rt::codegen {
 
 using hw::SimdIsa;
 
-/// The ISA the compiled kernels run on right now (see resolution order
-/// above). kScalar means "compiled paths off".
+/// The ISA the compiled kernels run on right now: the set_forced_isa
+/// override when one is set, hw::best_simd_isa() otherwise.
 SimdIsa active_isa();
 
-/// Overrides (or, with nullopt, reverts to the GF_SIMD default) the active
-/// ISA. The request is resolved through resolve_isa first. Thread-safe in
-/// the set_kernel_backend sense: call it between steps, not during one.
+/// Test and bench hook: pins the active ISA (or, with nullopt, reverts to
+/// best_simd_isa()). The request is resolved through resolve_isa first.
+/// Not synchronized: call it between steps, not during one.
 void set_forced_isa(std::optional<SimdIsa> isa);
 
-/// Clamps a requested ISA to what the CPU supports: kScalar stays kScalar;
-/// an unsupported compiled ISA becomes best_simd_isa() (which is always
-/// executable — kGeneric at worst).
+/// Clamps a requested ISA to what the CPU supports: an unsupported ISA
+/// becomes best_simd_isa() (which is always executable — kGeneric at
+/// worst).
 SimdIsa resolve_isa(SimdIsa requested);
 
-/// Default for ExecutorOptions::simd: true when GF_SIMD names a compiled
-/// ISA ("1", "auto", "generic", "avx2", ...), false when unset/scalar.
-bool simd_env_default();
-
-/// The GEMM register micro-tile the active compiled micro-kernel uses —
-/// register_tile_rule(isa) for supported ISAs. blocked_gemm dispatches to
-/// the ISA micro-kernel only when the tiling it was handed matches this
-/// tile; any other (mr, nr) runs the runtime-sized scalar kernel.
+/// The GEMM register micro-tile the compiled micro-kernel for `isa` uses —
+/// register_tile_rule(resolve_isa(isa)). blocked_gemm dispatches to the ISA
+/// micro-kernel only when the tiling it was handed matches this tile; any
+/// other (mr, nr) runs the runtime-sized scalar kernel.
 hw::RegisterTile gemm_register_tile(SimdIsa isa);
 
 /// Compiled GEMM micro-kernel for one packed (mr x nr) strip pair:
@@ -82,10 +74,11 @@ bool gemm_micro_kernel(SimdIsa isa, const float* a_strip, const float* b_strip,
 bool compilable(const LoweredProgram& program);
 
 /// Executes a lowered fused-pointwise program over `n` output elements on
-/// the pool, vectorized for `isa` (resolved; kScalar is invalid here —
-/// callers keep the interpreter for that). `src`/`extent` are the op's
-/// external input pointers and element counts (modulo addressing contract),
-/// `alphas` is indexed by *source-program* instruction (kScale slots).
+/// the pool, vectorized for `isa` (a supported ISA, as resolve_isa
+/// returns). `src`/`extent` are the op's external input pointers and
+/// element counts (modulo addressing contract), `alphas` is indexed by
+/// *source-program* instruction (kScale slots). Throws
+/// std::invalid_argument when the program is not compilable().
 void run_lowered(const LoweredProgram& program, SimdIsa isa,
                  const float* const* src, const std::int64_t* extent,
                  const float* alphas, float* out, std::int64_t n,

@@ -5,15 +5,6 @@
 #include "src/ir/semantics.h"
 
 namespace gf::rt::codegen {
-namespace {
-
-void expect_arity(ir::PointwiseFn fn, std::size_t got) {
-  // Reuse the op layer's arity contract; it throws std::invalid_argument
-  // with a precise message on mismatch.
-  ir::pointwise_fn_flops_per_element(fn, got);
-}
-
-}  // namespace
 
 LoweredProgram lower_program(const std::vector<ir::FusedInstr>& program,
                              std::size_t num_inputs) {
@@ -23,10 +14,15 @@ LoweredProgram lower_program(const std::vector<ir::FusedInstr>& program,
     throw std::invalid_argument("lower_program: program too long");
   const int nin = static_cast<int>(num_inputs);
 
+  LoweredProgram out;
+  out.num_inputs = num_inputs;
   // Validate operand references up front (same bounds the interpreter
-  // enforces), so liveness can walk the program without re-checking.
+  // enforces), so liveness can walk the program without re-checking. The
+  // op layer's FLOP rule also enforces each fn's arity (it throws
+  // std::invalid_argument on a mismatch).
   for (std::size_t j = 0; j < program.size(); ++j) {
-    expect_arity(program[j].fn, program[j].args.size());
+    out.flops_per_element +=
+        ir::pointwise_fn_flops_per_element(program[j].fn, program[j].args.size());
     for (const int a : program[j].args)
       if (a < 0 || a >= nin + static_cast<int>(j))
         throw std::invalid_argument("lower_program: operand index out of range");
@@ -67,8 +63,6 @@ LoweredProgram lower_program(const std::vector<ir::FusedInstr>& program,
     return operand;
   };
 
-  LoweredProgram out;
-  out.num_inputs = num_inputs;
   std::vector<int> load_slot(num_inputs, -1);  // input -> load slot
   std::vector<int> body_slot(program.size(), -1);  // source instr -> SSA slot
   const auto slot_of = [&](int operand) {

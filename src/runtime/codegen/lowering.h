@@ -6,7 +6,8 @@
 // The interpreter (rt::fused_pointwise) re-decides everything per element:
 // every operand reference branches on "input or register?", every external
 // read pays a modulo, and dead or identity instructions execute anyway.
-// Lowering hoists all of those decisions out of the loop, once per dispatch:
+// Lowering hoists all of those decisions out of the loop, once per program
+// (rt::Executor lowers each fused op when it is built):
 //
 //   - Dead-code elimination: instructions whose value never reaches the
 //     result are dropped (they can only arise via mutable_program tampering,
@@ -58,6 +59,10 @@ struct LoweredProgram {
   /// SSA slot of the output element: usually the last body instruction,
   /// but a pure-identity program lowers to a bare load slot.
   int result = 0;
+  /// FLOPs per output element charged for the source program (every
+  /// instruction, dropped ones included), so the compiled kernel reports
+  /// the same work as the interpreter.
+  double flops_per_element = 0;
 
   std::size_t num_slots() const { return loads.size() + body.size(); }
 };

@@ -58,7 +58,7 @@ bool fuse_env_default() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-bool simd_env_default() { return codegen::simd_env_default(); }
+bool simd_env_default() { return true; }
 
 Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptions options)
     : graph_(&graph), bindings_(std::move(bindings)), options_(options),
@@ -82,6 +82,19 @@ Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptio
     if (options_.verify) verify::validate_or_throw(*graph_);
   }
   dag_ = ir::build_op_dag(*graph_);
+  // Compile every fused program once; steps only run the stored form.
+  fused_kernels_.resize(dag_.order.size());
+  for (std::size_t i = 0; i < dag_.order.size(); ++i) {
+    const ir::Op* op = dag_.order[i];
+    if (op->type() != ir::OpType::kFusedPointwise) continue;
+    const auto& f = static_cast<const ir::FusedPointwiseOp&>(*op);
+    FusedKernel& k = fused_kernels_[i];
+    k.lowered = codegen::lower_program(f.program(), f.inputs().size());
+    k.alphas.reserve(f.program().size());
+    for (const ir::FusedInstr& instr : f.program())
+      k.alphas.push_back(static_cast<float>(instr.alpha.eval(bindings_)));
+    k.compilable = codegen::compilable(k.lowered);
+  }
   for (const auto& t : graph_->tensors()) {
     shapes_.emplace(t.get(), t->shape().eval(bindings_));
   }
@@ -323,9 +336,11 @@ std::size_t Executor::simulated_sequential_peak() const {
   return peak;
 }
 
-Executor::ResolvedOp Executor::resolve(const ir::Op& op) {
+Executor::ResolvedOp Executor::resolve(std::size_t i) {
+  const ir::Op& op = *dag_.order[i];
   ResolvedOp r;
   r.op = &op;
+  if (op.type() == ir::OpType::kFusedPointwise) r.fused = &fused_kernels_[i];
   r.out.reserve(op.outputs().size());
   for (const ir::Tensor* t : op.outputs()) {
     DenseTensor* out = &materialize(t);
@@ -358,7 +373,7 @@ ProfileReport Executor::run_step_sequential() {
   const auto step_start = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
     const ir::Op* op = dag_.order[i];
-    const ResolvedOp r = resolve(*op);
+    const ResolvedOp r = resolve(i);
     OpSlot& slot = slots[i];
     const auto t0 = Clock::now();
     execute_resolved(r, slot.stats);
@@ -475,7 +490,7 @@ ProfileReport Executor::run_step_wavefront() {
       return error || arena_.current_bytes() + fresh_bytes() <= budget;
     });
     if (error) break;
-    resolved[i] = resolve(*op);
+    resolved[i] = resolve(i);
     allocated[i] = 1;
     if (preds[i] == 0) submit_op(i);
   }
@@ -577,23 +592,16 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
       bias_add(*in[0], *in[1], *out[0], *pool_, stats);
       break;
     case OpType::kFusedPointwise: {
-      const auto& f = static_cast<const ir::FusedPointwiseOp&>(op);
-      std::vector<double> alphas;
-      alphas.reserve(f.program().size());
-      for (const ir::FusedInstr& instr : f.program())
-        alphas.push_back(instr.alpha.eval(bindings_));
-      bool compiled = false;
-      if (options_.simd) {
-        // options_.simd set programmatically with GF_SIMD unset still means
-        // "compile": promote the scalar env default to the widest ISA.
-        hw::SimdIsa isa = codegen::active_isa();
-        if (isa == hw::SimdIsa::kScalar) isa = hw::best_simd_isa();
-        compiled = fused_pointwise_simd(f.program(), const_inputs(), alphas,
-                                        *out[0], *pool_, stats, isa);
+      const FusedKernel& k = *r.fused;
+      if (k.compilable) {
+        fused_pointwise_simd(k.lowered, const_inputs(), k.alphas, *out[0], *pool_,
+                             stats, codegen::active_isa());
+        stats.kernel_class = "pointwise-simd";
+      } else {
+        const auto& f = static_cast<const ir::FusedPointwiseOp&>(op);
+        fused_pointwise(f.program(), const_inputs(), k.alphas, *out[0], *pool_, stats);
+        stats.kernel_class = "pointwise-interp";
       }
-      if (!compiled)
-        fused_pointwise(f.program(), const_inputs(), alphas, *out[0], *pool_, stats);
-      stats.kernel_class = compiled ? "pointwise-simd" : "pointwise-interp";
       break;
     }
     case OpType::kEmbeddingLookup:

@@ -33,6 +33,7 @@
 #include "src/ir/fusion.h"
 #include "src/ir/graph.h"
 #include "src/runtime/arena.h"
+#include "src/runtime/codegen/lowering.h"
 #include "src/runtime/dense_tensor.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/memplan.h"
@@ -50,9 +51,9 @@ bool memory_plan_env_default();
 /// sites.
 bool fuse_env_default();
 
-/// Default for ExecutorOptions::simd, from GF_SIMD (see
-/// src/runtime/codegen/dispatch.h for the accepted spellings): true when
-/// the variable names a compiled ISA, false when unset or "scalar".
+/// Always true: fused programs always run compiled. Kept because the
+/// benchmark harness (perfbench/main.cpp) checks it alongside the GF_FUSE
+/// and GF_MEMORY_PLAN defaults.
 bool simd_env_default();
 
 /// Inter-op scheduling policy for run_step().
@@ -89,17 +90,6 @@ struct ExecutorOptions {
   /// fused-away intermediate throws std::invalid_argument. Default follows
   /// GF_FUSE (off otherwise), mirroring memory_plan.
   bool fuse = fuse_env_default();
-  /// Compiled (SIMD) fused-pointwise kernels: lower each FusedPointwiseOp
-  /// program to a straight-line vectorized loop (src/runtime/codegen/) on
-  /// the active ISA — GF_SIMD's, or the widest the CPU supports when the
-  /// flag was set programmatically. Falls back to the interpreter per op
-  /// when the compiled path cannot serve it; each timeline event records
-  /// which class ran ("pointwise-simd" / "pointwise-interp"). Exact IEEE
-  /// programs keep bitwise parity with the interpreter; sigmoid/tanh are
-  /// epsilon-bounded (polynomial exp). Default follows GF_SIMD (off
-  /// otherwise), so the scalar reference path remains the default and the
-  /// sanitizer CI baseline.
-  bool simd = simd_env_default();
   /// Completion hook: called once per executed op, after its kernel
   /// finished writing the op's outputs, from the thread that ran the
   /// kernel (a pool worker under kWavefront, the caller under
@@ -171,10 +161,24 @@ class Executor {
   const ir::Tensor* resolve(const ir::Tensor* tensor) const { return map_tensor(tensor); }
 
  private:
+  /// A FusedPointwiseOp compiled when the executor is built: the program
+  /// lowered once (src/runtime/codegen/lowering.h), its kScale alphas
+  /// evaluated under the executor's bindings and narrowed to float, and
+  /// whether the vector executor can run it (codegen::compilable). Steps
+  /// run `lowered` on codegen::active_isa(), or the interpreter when it is
+  /// not compilable; either way each timeline event records which class
+  /// ran ("pointwise-simd" / "pointwise-interp").
+  struct FusedKernel {
+    codegen::LoweredProgram lowered;
+    std::vector<float> alphas;
+    bool compilable = false;
+  };
   /// Kernel I/O resolved to stable buffer pointers at dispatch time, so
   /// workers never touch the tensor maps concurrently.
   struct ResolvedOp {
     const ir::Op* op = nullptr;
+    /// The op's entry in fused_kernels_ (FusedPointwise ops only).
+    const FusedKernel* fused = nullptr;
     std::vector<DenseTensor*> in;
     std::vector<DenseTensor*> out;
     /// Planned, non-aliased outputs to zero-fill immediately before the
@@ -212,7 +216,8 @@ class Executor {
   /// pending-consumer count reached zero.
   void free_if_dead(const ir::Tensor* tensor,
                     const std::unordered_map<const ir::Tensor*, std::size_t>& pending);
-  ResolvedOp resolve(const ir::Op& op);
+  /// Resolves dag_.order[i].
+  ResolvedOp resolve(std::size_t i);
   void execute_resolved(const ResolvedOp& r, KernelStats& stats);
   /// (Re)builds the memory plan, the slab, and the reuse-edge-augmented
   /// scheduling DAG. Any existing slab views are dropped first.
@@ -236,6 +241,8 @@ class Executor {
   ir::FusionResult fusion_;
   std::unordered_map<const ir::Tensor*, const ir::Tensor*> remap_;
   ir::OpDag dag_;
+  /// Indexed like dag_.order; filled for FusedPointwise ops only.
+  std::vector<FusedKernel> fused_kernels_;
 
   std::unordered_map<const ir::Tensor*, std::vector<std::int64_t>> shapes_;
   std::unordered_map<const ir::Tensor*, DenseTensor> persistent_;

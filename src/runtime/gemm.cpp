@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/runtime/arena.h"
 #include "src/runtime/codegen/dispatch.h"
@@ -17,18 +16,6 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; 
 std::int64_t round_down_to(std::int64_t v, std::int64_t unit) {
   const std::int64_t r = (v / unit) * unit;
   return r < unit ? unit : r;
-}
-
-KernelBackend backend_from_env() {
-  const char* env = std::getenv("GF_REFERENCE_KERNELS");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0')
-    return KernelBackend::kReference;
-  return KernelBackend::kBlocked;
-}
-
-std::atomic<KernelBackend>& backend_state() {
-  static std::atomic<KernelBackend> state{backend_from_env()};
-  return state;
 }
 
 /// Per-thread packing/accumulator scratch. Workers are long-lived pool
@@ -142,27 +129,16 @@ GemmTiling select_gemm_tiling(double cache_bytes, std::int64_t dtype_bytes,
   return tl;
 }
 
-double gemm_model_cache_bytes() {
-  static const double cached = [] {
-    if (const char* env = std::getenv("GF_GEMM_CACHE_BYTES")) {
-      const double v = std::atof(env);
-      if (v > 0) return v;
-    }
-    return 256.0 * 1024.0;  // a per-core L2-like working set
-  }();
-  return cached;
-}
-
 const GemmTiling& default_gemm_tiling() {
   // One tiling per ISA, precomputed: the cache-block rule is shared, only
   // the register tile (and hence the MC/NC rounding) differs. Indexed by
-  // the active codegen ISA at each call so GF_SIMD/set_forced_isa changes
-  // are honored.
-  static const std::array<GemmTiling, 5> tilings = [] {
-    std::array<GemmTiling, 5> t{};
+  // the active codegen ISA at each call so set_forced_isa changes are
+  // honored.
+  static const std::array<GemmTiling, 4> tilings = [] {
+    std::array<GemmTiling, 4> t{};
     for (std::size_t i = 0; i < t.size(); ++i)
       t[i] = select_gemm_tiling(
-          gemm_model_cache_bytes(), sizeof(float),
+          kGemmModelCacheBytes, sizeof(float),
           hw::register_tile_rule(static_cast<hw::SimdIsa>(i)));
     return t;
   }();
@@ -185,10 +161,8 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
   // the active ISA when its register tile is what we packed for, else the
   // runtime-sized scalar tile. Both produce identical bits (dispatch.h).
   const codegen::SimdIsa ukr_isa = codegen::active_isa();
-  const bool compiled_ukr =
-      ukr_isa != codegen::SimdIsa::kScalar &&
-      codegen::gemm_register_tile(ukr_isa).mr == mr &&
-      codegen::gemm_register_tile(ukr_isa).nr == nr;
+  const hw::RegisterTile ukr_tile = codegen::gemm_register_tile(ukr_isa);
+  const bool compiled_ukr = ukr_tile.mr == mr && ukr_tile.nr == nr;
 
   conc::parallel_for(pool, 0, static_cast<std::size_t>(tiles), [&](std::size_t t) {
     const auto ti = static_cast<std::int64_t>(t);
@@ -289,14 +263,6 @@ void reference_gemm(const float* a, const float* b, float* c, std::int64_t batch
           apply_epilogue(static_cast<float>(acc), epilogue, col);
     }
   });
-}
-
-KernelBackend kernel_backend() {
-  return backend_state().load(std::memory_order_relaxed);
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  backend_state().store(backend, std::memory_order_relaxed);
 }
 
 }  // namespace gf::rt

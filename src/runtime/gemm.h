@@ -19,10 +19,12 @@
 //    ascending-k order, never fused into an FMA (this TU and the codegen
 //    TUs build with -ffp-contract=off). The float tile is carried across
 //    KC blocks and each C element is written exactly once. The tile is
-//    sized by hw::register_tile_rule for the active codegen ISA (falling
-//    back to the seed 4x8 scalar tile); the vectorized micro-kernels in
-//    src/runtime/codegen/ preserve the per-element operation sequence, so
-//    output bits are identical across ISAs, tile shapes and thread counts.
+//    sized by hw::register_tile_rule for the active codegen ISA; any other
+//    tile (the seed 4x8 {kGemmMr, kGemmNr}, which tests and kernel_bench
+//    pass to reach it) runs a runtime-sized scalar micro-kernel. The
+//    vectorized micro-kernels in src/runtime/codegen/ preserve the
+//    per-element operation sequence, so output bits are identical across
+//    ISAs, tile shapes and thread counts.
 //    Against the double-accumulating `reference_gemm` the contract is an
 //    error bound, not bit equality: |c - ref| <= (k+2) * 2^-24 *
 //    sum_p |a_ip * b_pj| per element (tests/test_gemm.cpp,
@@ -43,10 +45,11 @@
 
 namespace gf::rt {
 
-/// The seed register micro-tile: what the scalar micro-kernel uses and what
-/// the tile rule falls back to. Compiled micro-kernels use
-/// hw::register_tile_rule(isa) instead — 6x8 on AVX2, 8x16 on AVX-512 —
-/// carried in GemmTiling::mr/nr; results are bitwise-identical either way.
+/// The seed register micro-tile. No compiled micro-kernel uses it, so a
+/// tiling packed for it runs blocked_gemm's scalar micro-kernel — the
+/// oracle the compiled tiles (hw::register_tile_rule(isa): 6x8 on AVX2,
+/// 8x16 on AVX-512, carried in GemmTiling::mr/nr) are tested against;
+/// results are bitwise-identical either way.
 inline constexpr std::int64_t kGemmMr = 4;
 inline constexpr std::int64_t kGemmNr = 8;
 
@@ -68,14 +71,13 @@ struct GemmTiling {
 GemmTiling select_gemm_tiling(double cache_bytes, std::int64_t dtype_bytes,
                               hw::RegisterTile tile = {kGemmMr, kGemmNr});
 
-/// Cache size the default tiling models. Overridable for experiments via
-/// the GF_GEMM_CACHE_BYTES environment variable (read once).
-double gemm_model_cache_bytes();
+/// Cache size the default tiling models: a per-core L2-like working set.
+inline constexpr double kGemmModelCacheBytes = 256.0 * 1024.0;
 
 /// Tiling used by the runtime kernels: `select_gemm_tiling` applied to
-/// `gemm_model_cache_bytes()` at fp32, with the register tile of the active
-/// codegen ISA (the seed 4x8 when SIMD is off). Re-evaluated per call so
-/// GF_SIMD overrides in tests and benches take effect.
+/// kGemmModelCacheBytes at fp32, with the register tile of the active
+/// codegen ISA. Re-evaluated per call so set_forced_isa overrides in tests
+/// and benches take effect.
 const GemmTiling& default_gemm_tiling();
 
 /// Bytes the blocked GEMM actually moved through its packing/write paths —
@@ -122,13 +124,5 @@ void reference_gemm(const float* a, const float* b, float* c, std::int64_t batch
                     bool trans_b, std::int64_t a_stride, std::int64_t b_stride,
                     std::int64_t c_stride, conc::ThreadPool& pool,
                     const GemmEpilogue& epilogue = {});
-
-/// Which implementation the op-level kernels (matmul/conv2d/...) dispatch
-/// to. Defaults to kBlocked; the GF_REFERENCE_KERNELS=1 environment
-/// variable (read once, before any override) selects kReference — CI uses
-/// it to keep sanitizer jobs on the small, simple kernels.
-enum class KernelBackend : std::uint8_t { kBlocked, kReference };
-KernelBackend kernel_backend();
-void set_kernel_backend(KernelBackend backend);
 
 }  // namespace gf::rt

@@ -119,14 +119,8 @@ void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool t
     default: expect(false, "unsupported matmul epilogue activation");
   }
 
-  if (kernel_backend() == KernelBackend::kBlocked) {
-    blocked_gemm(a.fdata(), b.fdata(), out.fdata(), batch, m, n, k, trans_a, trans_b,
-                 a_stride, b_stride, o_stride, default_gemm_tiling(), pool, nullptr,
-                 epi);
-  } else {
-    reference_gemm(a.fdata(), b.fdata(), out.fdata(), batch, m, n, k, trans_a, trans_b,
-                   a_stride, b_stride, o_stride, pool, epi);
-  }
+  blocked_gemm(a.fdata(), b.fdata(), out.fdata(), batch, m, n, k, trans_a, trans_b,
+               a_stride, b_stride, o_stride, default_gemm_tiling(), pool, nullptr, epi);
 
   stats.flops += 2.0 * static_cast<double>(batch) * m * n * k;
   // Epilogue work, mirroring MatMulOp::flops()/bytes_accessed() exactly.
@@ -151,10 +145,6 @@ void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool t
 
 void conv2d(const DenseTensor& in, const DenseTensor& filter, DenseTensor& out,
             int stride, conc::ThreadPool& pool, KernelStats& stats) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    conv2d_reference(in, filter, out, stride, stats);
-    return;
-  }
   const std::int64_t KH = filter.dim(0), KW = filter.dim(1), F = filter.dim(3);
   const Im2ColShape s = conv_shape(in, KH, KW, out.dim(1), out.dim(2), stride);
   // col: (N*HO*WO) x (KH*KW*C); filter (KH,KW,C,F) is already the
@@ -169,10 +159,6 @@ void conv2d(const DenseTensor& in, const DenseTensor& filter, DenseTensor& out,
 
 void conv2d_grad_input(const DenseTensor& dy, const DenseTensor& filter, DenseTensor& dx,
                        int stride, conc::ThreadPool& pool, KernelStats& stats) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    conv2d_grad_input_reference(dy, filter, dx, stride, stats);
-    return;
-  }
   const std::int64_t KH = filter.dim(0), KW = filter.dim(1), F = filter.dim(3);
   const Im2ColShape s = conv_shape(dx, KH, KW, dy.dim(1), dy.dim(2), stride);
   // dcol = dy . filter^T : (rows x F) . (F x KH*KW*C), then col2im
@@ -188,10 +174,6 @@ void conv2d_grad_input(const DenseTensor& dy, const DenseTensor& filter, DenseTe
 
 void conv2d_grad_filter(const DenseTensor& in, const DenseTensor& dy, DenseTensor& df,
                         int stride, conc::ThreadPool& pool, KernelStats& stats) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    conv2d_grad_filter_reference(in, dy, df, stride, stats);
-    return;
-  }
   const std::int64_t KH = df.dim(0), KW = df.dim(1), F = df.dim(3);
   const Im2ColShape s = conv_shape(in, KH, KW, dy.dim(1), dy.dim(2), stride);
   // dF = im2col(input)^T . dy : (KH*KW*C x rows) . (rows x F).
@@ -389,7 +371,7 @@ void bias_add(const DenseTensor& in, const DenseTensor& bias, DenseTensor& out,
 
 void fused_pointwise(const std::vector<ir::FusedInstr>& program,
                      const std::vector<const DenseTensor*>& inputs,
-                     const std::vector<double>& alphas, DenseTensor& out,
+                     const std::vector<float>& alphas, DenseTensor& out,
                      conc::ThreadPool& pool, KernelStats& stats) {
   expect(!program.empty() && !inputs.empty(), "fused_pointwise arity");
   expect(program.size() <= ir::FusedPointwiseOp::kMaxInstrs,
@@ -435,7 +417,7 @@ void fused_pointwise(const std::vector<ir::FusedInstr>& program,
             case Fn::kTanh: r = std::tanh(val(arg[0])); break;
             case Fn::kRelu: r = std::max(0.0f, val(arg[0])); break;
             case Fn::kOneMinus: r = 1.0f - val(arg[0]); break;
-            case Fn::kScale: r = static_cast<float>(alphas[j]) * val(arg[0]); break;
+            case Fn::kScale: r = alphas[j] * val(arg[0]); break;
             case Fn::kIdentity: r = val(arg[0]); break;
             case Fn::kSigmoidGrad:
               r = val(arg[1]) * val(arg[0]) * (1.0f - val(arg[0]));
@@ -459,43 +441,29 @@ void fused_pointwise(const std::vector<ir::FusedInstr>& program,
   stats.bytes += tensor_bytes(out);
 }
 
-bool fused_pointwise_simd(const std::vector<ir::FusedInstr>& program,
+void fused_pointwise_simd(const codegen::LoweredProgram& lowered,
                           const std::vector<const DenseTensor*>& inputs,
-                          const std::vector<double>& alphas, DenseTensor& out,
+                          const std::vector<float>& alphas, DenseTensor& out,
                           conc::ThreadPool& pool, KernelStats& stats,
                           hw::SimdIsa isa) {
-  expect(!program.empty() && !inputs.empty(), "fused_pointwise arity");
-  expect(program.size() <= ir::FusedPointwiseOp::kMaxInstrs,
-         "fused_pointwise program too long");
-  expect(alphas.size() == program.size(), "fused_pointwise alpha count");
-  isa = codegen::resolve_isa(isa);
-  if (isa == hw::SimdIsa::kScalar) return false;
-  const codegen::LoweredProgram lowered =
-      codegen::lower_program(program, inputs.size());
-  if (!codegen::compilable(lowered)) return false;
-
+  expect(inputs.size() == lowered.num_inputs, "fused_pointwise_simd arity");
+  for (const codegen::LoweredInstr& ins : lowered.body)
+    expect(ins.alpha_slot < static_cast<int>(alphas.size()),
+           "fused_pointwise_simd alpha count");
   std::vector<const float*> src(inputs.size());
   std::vector<std::int64_t> extent(inputs.size());
   for (std::size_t j = 0; j < inputs.size(); ++j) {
     src[j] = inputs[j]->fdata();
     extent[j] = inputs[j]->numel();
   }
-  // Narrowed once, exactly as the interpreter's per-instruction
-  // static_cast<float>(alphas[j]).
-  std::vector<float> alphas_f(alphas.begin(), alphas.end());
-  codegen::run_lowered(lowered, isa, src.data(), extent.data(), alphas_f.data(),
-                       out.fdata(), out.numel(), pool);
+  codegen::run_lowered(lowered, codegen::resolve_isa(isa), src.data(), extent.data(),
+                       alphas.data(), out.fdata(), out.numel(), pool);
 
   // Charge work identically to the interpreter so interp-vs-simd profiles
   // differ only in seconds, which is exactly the signal whatif scales.
-  double flops_per_element = 0;
-  for (const ir::FusedInstr& instr : program)
-    flops_per_element +=
-        ir::pointwise_fn_flops_per_element(instr.fn, instr.args.size());
-  stats.flops += flops_per_element * static_cast<double>(out.numel());
+  stats.flops += lowered.flops_per_element * static_cast<double>(out.numel());
   for (const DenseTensor* t : inputs) stats.bytes += tensor_bytes(*t);
   stats.bytes += tensor_bytes(out);
-  return true;
 }
 
 void embedding_lookup(const DenseTensor& table, const DenseTensor& ids, DenseTensor& out,

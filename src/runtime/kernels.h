@@ -9,9 +9,11 @@
 // identical across schedules and thread counts.
 //
 // The pre-blocking implementations are retained as `*_reference` (and
-// `reference_gemm`): sanitizer CI runs on them via GF_REFERENCE_KERNELS=1,
-// tests hold the blocked forward kernels within the fp32 error bound of
-// them (gemm.h), and `bench/kernel_bench` reports speedup against them.
+// `reference_gemm`) and the fused-pointwise interpreter as
+// `fused_pointwise`. They are test oracles, never chosen by the executor
+// (except the interpreter for programs too wide to compile): tests hold
+// the production kernels to them — bitwise, or within the fp32 error
+// bound of gemm.h — and `bench/kernel_bench` reports speedup against them.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "src/concurrency/thread_pool.h"
 #include "src/hw/cpu_features.h"
 #include "src/ir/ops.h"
+#include "src/runtime/codegen/lowering.h"
 #include "src/runtime/dense_tensor.h"
 #include "src/runtime/gemm.h"
 
@@ -30,10 +33,11 @@ struct KernelStats {
   double flops = 0;
   double bytes = 0;
   /// Which implementation class served this op, when more than one exists
-  /// ("pointwise-interp" vs "pointwise-simd"); points at a string literal.
-  /// Flows into TimelineEvent::kernel_class so what-if scaling can target
-  /// an implementation (predicting the SIMD payoff from an interpreter
-  /// profile) rather than an op type. Empty for single-implementation ops.
+  /// ("pointwise-simd", or "pointwise-interp" for a fused program too wide
+  /// to compile); points at a string literal. Flows into
+  /// TimelineEvent::kernel_class so what-if scaling can target an
+  /// implementation rather than an op type. Empty for single-implementation
+  /// ops.
   const char* kernel_class = "";
 };
 
@@ -51,8 +55,7 @@ void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool t
             ir::PointwiseFn epi_act = ir::PointwiseFn::kIdentity);
 
 // NHWC convolution, "same" padding (odd kernel), square stride. Executed
-// as im2col + blocked GEMM (kernel_backend() == kBlocked) or the retained
-// direct loops (kReference).
+// as im2col + blocked GEMM.
 void conv2d(const DenseTensor& in, const DenseTensor& filter, DenseTensor& out,
             int stride, conc::ThreadPool& pool, KernelStats& stats);
 void conv2d_grad_input(const DenseTensor& dy, const DenseTensor& filter, DenseTensor& dx,
@@ -60,7 +63,8 @@ void conv2d_grad_input(const DenseTensor& dy, const DenseTensor& filter, DenseTe
 void conv2d_grad_filter(const DenseTensor& in, const DenseTensor& dy, DenseTensor& df,
                         int stride, conc::ThreadPool& pool, KernelStats& stats);
 
-// Retained single-threaded direct convolution loops (the seed kernels).
+// Retained single-threaded direct convolution loops (the seed kernels):
+// test and bench oracles for the im2col path.
 void conv2d_reference(const DenseTensor& in, const DenseTensor& filter, DenseTensor& out,
                       int stride, KernelStats& stats);
 void conv2d_grad_input_reference(const DenseTensor& dy, const DenseTensor& filter,
@@ -82,24 +86,26 @@ void bias_add(const DenseTensor& in, const DenseTensor& bias, DenseTensor& out,
 /// Each instruction replicates its standalone kernel's float expression
 /// (kAddN keeps the double accumulator), so fused output bits equal the
 /// unfused op chain's. `alphas` holds the pre-evaluated kScale multiplier
-/// per instruction (ignored for other fns; size must match the program).
+/// per instruction, narrowed to float (ignored for other fns; size must
+/// match the program). The oracle for fused_pointwise_simd, and the
+/// executor's kernel for programs codegen::compilable rejects.
 void fused_pointwise(const std::vector<ir::FusedInstr>& program,
                      const std::vector<const DenseTensor*>& inputs,
-                     const std::vector<double>& alphas, DenseTensor& out,
+                     const std::vector<float>& alphas, DenseTensor& out,
                      conc::ThreadPool& pool, KernelStats& stats);
 
-/// Compiled fused-pointwise path: lowers the program (codegen/lowering.h)
-/// and runs the straight-line vectorized executor for `isa` (resolved to a
-/// supported compiled ISA first). Returns false without touching `out` when
-/// the compiled path cannot serve the call — `isa` resolves to kScalar or
-/// the program exceeds the executor's load-slot capacity — and the caller
-/// falls back to the interpreter above. Numerics per dispatch.h: bitwise
-/// equal to the interpreter except epsilon-bounded kSigmoid/kTanh. Stats
-/// are charged identically to the interpreter (the lowered instruction
-/// count can only shrink via DCE, which fusion never produces).
-bool fused_pointwise_simd(const std::vector<ir::FusedInstr>& program,
+/// Compiled fused-pointwise path: runs a program lowered by
+/// codegen::lower_program on the straight-line vectorized executor for
+/// `isa` (resolved to a supported ISA first). `alphas` is indexed by
+/// source-program instruction, as for the interpreter. Throws
+/// std::invalid_argument when the program is not codegen::compilable —
+/// callers run the interpreter above for those. Numerics per dispatch.h:
+/// bitwise equal to the interpreter except epsilon-bounded kSigmoid/kTanh.
+/// Stats are charged identically to the interpreter (from the source
+/// program's FLOPs per element, which lowering records).
+void fused_pointwise_simd(const codegen::LoweredProgram& lowered,
                           const std::vector<const DenseTensor*>& inputs,
-                          const std::vector<double>& alphas, DenseTensor& out,
+                          const std::vector<float>& alphas, DenseTensor& out,
                           conc::ThreadPool& pool, KernelStats& stats,
                           hw::SimdIsa isa);
 

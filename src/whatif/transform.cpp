@@ -27,9 +27,9 @@ Trace scale_kernel_class(const Trace& trace, const ScaleClass& scale) {
   Trace out = trace;
   for (TraceOp& op : out.ops) {
     // A "class" is either an op type (ir::op_type_name spelling) or a
-    // runtime implementation class ("pointwise-interp"); matching either
-    // lets `gfctl whatif --scale pointwise-interp:K` price the compiled
-    // kernels from an interpreter-path profile.
+    // runtime implementation class ("pointwise-simd"); matching either
+    // lets `gfctl whatif --scale pointwise-simd` price one implementation
+    // without touching ops of the same type that another one served.
     if (scale.op_type != "*" && op.type != scale.op_type &&
         op.kernel_class != scale.op_type)
       continue;

@@ -43,9 +43,9 @@ namespace gf::whatif {
 struct ScaleClass {
   /// ir::op_type_name spelling, a runtime implementation class recorded in
   /// TraceOp::kernel_class ("pointwise-interp", "pointwise-simd"), or "*"
-  /// for all ops. Implementation classes let the simulator price a kernel
-  /// swap — e.g. SIMD codegen payoff from an interpreter-path profile —
-  /// where an op-type match would also rescale ops that already swapped.
+  /// for all ops. Implementation classes let the simulator price one
+  /// kernel where an op-type match would also rescale ops of that type
+  /// that another implementation served.
   std::string op_type;
   double speedup = 1.0;  ///< must be > 0
 };

@@ -1,14 +1,15 @@
 // Codegen subsystem tests: the CPU feature probe and register-tile rule,
-// GF_SIMD spelling parsing, forced-ISA dispatch resolution, the lowering
-// pass (DCE, identity forwarding, load dedup, alpha slots, translation
-// validation against ir::fused_program_semantics on every built-in model),
-// the compiled fused-pointwise executors (bitwise on exact-IEEE programs,
+// forced-ISA dispatch resolution, the lowering pass (DCE, identity
+// forwarding, load dedup, alpha slots, translation validation against
+// ir::fused_program_semantics on every built-in model), the compiled
+// fused-pointwise executors (bitwise on exact-IEEE programs,
 // epsilon-bounded through the polynomial sigmoid/tanh, thread-count
 // invariant, special-value semantics), the register-tiled GEMM
 // micro-kernel (bitwise vs the scalar seed tile), executor integration
-// (epsilon parity with the interpreter path on all six models across
-// thread counts), and kernel-class tagging through the profiler and the
-// Chrome-trace round trip.
+// (every fused op of every built-in model runs compiled; the interpreter
+// serves only programs wider than the load slots, bitwise and
+// thread-count invariant), and kernel-class tagging through the profiler
+// and the Chrome-trace round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -45,32 +46,13 @@ using hw::SimdIsa;
 
 // --- feature probe and register-tile rule -----------------------------------
 
-TEST(CpuFeatures, ParseSimdIsaSpellings) {
-  EXPECT_EQ(hw::parse_simd_isa(""), SimdIsa::kScalar);
-  EXPECT_EQ(hw::parse_simd_isa("0"), SimdIsa::kScalar);
-  EXPECT_EQ(hw::parse_simd_isa("scalar"), SimdIsa::kScalar);
-  EXPECT_EQ(hw::parse_simd_isa("generic"), SimdIsa::kGeneric);
-  EXPECT_EQ(hw::parse_simd_isa("avx2"), SimdIsa::kAvx2);
-  EXPECT_EQ(hw::parse_simd_isa("avx512"), SimdIsa::kAvx512);
-  EXPECT_EQ(hw::parse_simd_isa("neon"), SimdIsa::kNeon);
-  EXPECT_EQ(hw::parse_simd_isa("auto"), std::nullopt);
-  EXPECT_EQ(hw::parse_simd_isa("1"), std::nullopt);
-  EXPECT_THROW(hw::parse_simd_isa("sse9"), std::invalid_argument);
-}
-
-TEST(CpuFeatures, ScalarAndGenericAlwaysSupported) {
-  EXPECT_TRUE(hw::isa_supported(SimdIsa::kScalar));
+TEST(CpuFeatures, GenericAlwaysSupported) {
   EXPECT_TRUE(hw::isa_supported(SimdIsa::kGeneric));
-  const SimdIsa best = hw::best_simd_isa();
-  EXPECT_NE(best, SimdIsa::kScalar);
-  EXPECT_TRUE(hw::isa_supported(best));
+  EXPECT_TRUE(hw::isa_supported(hw::best_simd_isa()));
   EXPECT_GE(hw::cpu_features().max_vector_width_floats, 4);
 }
 
 TEST(CpuFeatures, RegisterTileRuleMatchesVectorGeometry) {
-  // The seed tile survives untouched on the scalar path.
-  EXPECT_EQ(hw::register_tile_rule(SimdIsa::kScalar).mr, rt::kGemmMr);
-  EXPECT_EQ(hw::register_tile_rule(SimdIsa::kScalar).nr, rt::kGemmNr);
   // Derived tiles: (regs - 4) / (2 * nr / width) clamped to [4, 8].
   EXPECT_EQ(hw::register_tile_rule(SimdIsa::kGeneric).mr, 6);
   EXPECT_EQ(hw::register_tile_rule(SimdIsa::kGeneric).nr, 8);
@@ -91,6 +73,14 @@ TEST(CpuFeatures, RegisterTileRuleMatchesVectorGeometry) {
 
 // --- dispatch ---------------------------------------------------------------
 
+std::vector<SimdIsa> supported_compiled_isas() {
+  std::vector<SimdIsa> isas;
+  for (const SimdIsa isa :
+       {SimdIsa::kGeneric, SimdIsa::kAvx2, SimdIsa::kAvx512, SimdIsa::kNeon})
+    if (hw::isa_supported(isa)) isas.push_back(isa);
+  return isas;
+}
+
 /// Restores the process-global forced-ISA override after each test.
 class DispatchTest : public ::testing::Test {
  protected:
@@ -98,8 +88,7 @@ class DispatchTest : public ::testing::Test {
 };
 
 TEST_F(DispatchTest, ForcedIsaControlsActiveIsa) {
-  rt::codegen::set_forced_isa(SimdIsa::kScalar);
-  EXPECT_EQ(rt::codegen::active_isa(), SimdIsa::kScalar);
+  EXPECT_EQ(rt::codegen::active_isa(), hw::best_simd_isa());
   for (const SimdIsa isa :
        {SimdIsa::kGeneric, SimdIsa::kAvx2, SimdIsa::kAvx512, SimdIsa::kNeon}) {
     rt::codegen::set_forced_isa(isa);
@@ -110,10 +99,11 @@ TEST_F(DispatchTest, ForcedIsaControlsActiveIsa) {
           << hw::simd_isa_name(isa);
     }
   }
+  rt::codegen::set_forced_isa(std::nullopt);
+  EXPECT_EQ(rt::codegen::active_isa(), hw::best_simd_isa());
 }
 
 TEST_F(DispatchTest, ResolveIsaNeverYieldsUnsupported) {
-  EXPECT_EQ(rt::codegen::resolve_isa(SimdIsa::kScalar), SimdIsa::kScalar);
   for (const SimdIsa isa :
        {SimdIsa::kGeneric, SimdIsa::kAvx2, SimdIsa::kAvx512, SimdIsa::kNeon}) {
     const SimdIsa resolved = rt::codegen::resolve_isa(isa);
@@ -127,9 +117,12 @@ TEST_F(DispatchTest, ResolveIsaNeverYieldsUnsupported) {
 TEST_F(DispatchTest, GemmMicroKernelRefusesMismatchedTiles) {
   std::vector<float> a(8 * 4, 1.0f), b(8 * 16, 1.0f);
   std::vector<float> acc(8 * 16, 0.0f);
-  // kScalar has no compiled kernel.
-  EXPECT_FALSE(rt::codegen::gemm_micro_kernel(SimdIsa::kScalar, a.data(), b.data(),
-                                              4, acc.data(), 4, 8));
+  // No compiled kernel takes the seed tile, so a tiling packed for it
+  // always runs blocked_gemm's scalar micro-kernel (the oracle).
+  for (const SimdIsa isa : supported_compiled_isas())
+    EXPECT_FALSE(rt::codegen::gemm_micro_kernel(isa, a.data(), b.data(), 4,
+                                                acc.data(), rt::kGemmMr, rt::kGemmNr))
+        << hw::simd_isa_name(isa);
   // A supported ISA with the WRONG tile must refuse, not corrupt.
   const SimdIsa best = hw::best_simd_isa();
   const hw::RegisterTile tile = rt::codegen::gemm_register_tile(best);
@@ -138,17 +131,15 @@ TEST_F(DispatchTest, GemmMicroKernelRefusesMismatchedTiles) {
 }
 
 TEST_F(DispatchTest, DefaultGemmTilingFollowsActiveIsa) {
-  rt::codegen::set_forced_isa(SimdIsa::kScalar);
-  EXPECT_EQ(rt::default_gemm_tiling().mr, rt::kGemmMr);
-  EXPECT_EQ(rt::default_gemm_tiling().nr, rt::kGemmNr);
-  const SimdIsa best = hw::best_simd_isa();
-  rt::codegen::set_forced_isa(best);
-  const hw::RegisterTile tile = hw::register_tile_rule(best);
-  EXPECT_EQ(rt::default_gemm_tiling().mr, tile.mr);
-  EXPECT_EQ(rt::default_gemm_tiling().nr, tile.nr);
-  // Cache blocks stay multiples of the register tile.
-  EXPECT_EQ(rt::default_gemm_tiling().mc % tile.mr, 0);
-  EXPECT_EQ(rt::default_gemm_tiling().nc % tile.nr, 0);
+  for (const SimdIsa isa : supported_compiled_isas()) {
+    rt::codegen::set_forced_isa(isa);
+    const hw::RegisterTile tile = hw::register_tile_rule(isa);
+    EXPECT_EQ(rt::default_gemm_tiling().mr, tile.mr) << hw::simd_isa_name(isa);
+    EXPECT_EQ(rt::default_gemm_tiling().nr, tile.nr) << hw::simd_isa_name(isa);
+    // Cache blocks stay multiples of the register tile.
+    EXPECT_EQ(rt::default_gemm_tiling().mc % tile.mr, 0);
+    EXPECT_EQ(rt::default_gemm_tiling().nc % tile.nr, 0);
+  }
 }
 
 // --- lowering ---------------------------------------------------------------
@@ -295,7 +286,7 @@ std::vector<float> random_vec(std::size_t n, std::uint32_t seed) {
 struct FusedCase {
   std::vector<rt::DenseTensor> storage;
   std::vector<const rt::DenseTensor*> inputs;
-  std::vector<double> alphas;
+  std::vector<float> alphas;
 
   FusedCase(const std::vector<std::int64_t>& elems,
             const std::vector<FusedInstr>& program) {
@@ -309,7 +300,7 @@ struct FusedCase {
     }
     for (const rt::DenseTensor& t : storage) inputs.push_back(&t);
     for (const FusedInstr& ins : program)
-      alphas.push_back(ins.alpha.eval(sym::Bindings{}));
+      alphas.push_back(static_cast<float>(ins.alpha.eval(sym::Bindings{})));
   }
 };
 
@@ -329,17 +320,9 @@ std::vector<float> run_simd(const std::vector<FusedInstr>& program,
   conc::ThreadPool pool(threads);
   rt::DenseTensor out({n}, ir::DataType::kFloat32);
   rt::KernelStats stats;
-  EXPECT_TRUE(
-      rt::fused_pointwise_simd(program, c.inputs, c.alphas, out, pool, stats, isa));
+  rt::fused_pointwise_simd(rt::codegen::lower_program(program, c.inputs.size()),
+                           c.inputs, c.alphas, out, pool, stats, isa);
   return {out.fdata(), out.fdata() + n};
-}
-
-std::vector<SimdIsa> supported_compiled_isas() {
-  std::vector<SimdIsa> isas;
-  for (const SimdIsa isa :
-       {SimdIsa::kGeneric, SimdIsa::kAvx2, SimdIsa::kAvx512, SimdIsa::kNeon})
-    if (hw::isa_supported(isa)) isas.push_back(isa);
-  return isas;
 }
 
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
@@ -441,39 +424,45 @@ TEST(CompiledPointwise, ThreadCountInvariantWithinEachIsa) {
   }
 }
 
+/// One kAddN over more external inputs than the vector executor has load
+/// slots (codegen's kMaxLoadSlots is 96).
+constexpr std::size_t kWideInputs = 100;
+
+std::vector<FusedInstr> wide_add_program() {
+  std::vector<int> args(kWideInputs);
+  for (std::size_t i = 0; i < kWideInputs; ++i) args[i] = static_cast<int>(i);
+  return {{PointwiseFn::kAddN, args}};
+}
+
 TEST(CompiledPointwise, RefusesOversizedLoadSets) {
-  // One kAddN over more external inputs than the executor has load slots:
-  // the compiled path must decline and leave the interpreter to serve it.
-  const std::size_t num_inputs = 100;
-  std::vector<int> args(num_inputs);
-  for (std::size_t i = 0; i < num_inputs; ++i) args[i] = static_cast<int>(i);
-  const std::vector<FusedInstr> program = {{PointwiseFn::kAddN, args}};
-  const auto low = rt::codegen::lower_program(program, num_inputs);
+  // The compiled path must decline, leaving the interpreter to serve it.
+  const std::vector<FusedInstr> program = wide_add_program();
+  const auto low = rt::codegen::lower_program(program, kWideInputs);
   EXPECT_FALSE(rt::codegen::compilable(low));
 
   const std::int64_t n = 256;
-  FusedCase c(std::vector<std::int64_t>(num_inputs, n), program);
+  FusedCase c(std::vector<std::int64_t>(kWideInputs, n), program);
   conc::ThreadPool pool(1);
   rt::DenseTensor out({n}, ir::DataType::kFloat32);
   rt::KernelStats stats;
-  EXPECT_FALSE(rt::fused_pointwise_simd(program, c.inputs, c.alphas, out, pool,
-                                        stats, hw::best_simd_isa()));
+  EXPECT_THROW(rt::fused_pointwise_simd(low, c.inputs, c.alphas, out, pool, stats,
+                                        hw::best_simd_isa()),
+               std::invalid_argument);
 }
 
 // --- GEMM micro-kernel ------------------------------------------------------
 
-class GemmTileTest : public ::testing::Test {
- protected:
-  void TearDown() override { rt::codegen::set_forced_isa(std::nullopt); }
-};
-
-TEST_F(GemmTileTest, CompiledMicroKernelBitwiseEqualsScalarTile) {
+TEST(GemmTileTest, CompiledMicroKernelBitwiseEqualsScalarTile) {
   conc::ThreadPool pool(2);
   struct Shape {
     std::int64_t m, n, k;
     bool ta, tb;
   };
-  // Odd extents force ragged edge tiles through both micro-kernels.
+  // Odd extents force ragged edge tiles through both micro-kernels. The
+  // seed tiling runs the scalar micro-kernel; the default one the compiled
+  // kernel of the active ISA.
+  const rt::GemmTiling seed = rt::select_gemm_tiling(
+      rt::kGemmModelCacheBytes, sizeof(float), {rt::kGemmMr, rt::kGemmNr});
   const std::vector<Shape> shapes = {
       {67, 35, 129, false, false},
       {64, 64, 64, true, false},
@@ -485,10 +474,8 @@ TEST_F(GemmTileTest, CompiledMicroKernelBitwiseEqualsScalarTile) {
     std::vector<float> c_scalar(static_cast<std::size_t>(s.m * s.n));
     std::vector<float> c_simd(c_scalar.size());
 
-    rt::codegen::set_forced_isa(SimdIsa::kScalar);
     rt::blocked_gemm(a.data(), b.data(), c_scalar.data(), 1, s.m, s.n, s.k, s.ta,
-                     s.tb, 0, 0, 0, rt::default_gemm_tiling(), pool);
-    rt::codegen::set_forced_isa(hw::best_simd_isa());
+                     s.tb, 0, 0, 0, seed, pool);
     rt::blocked_gemm(a.data(), b.data(), c_simd.data(), 1, s.m, s.n, s.k, s.ta,
                      s.tb, 0, 0, 0, rt::default_gemm_tiling(), pool);
     EXPECT_TRUE(bitwise_equal(c_scalar, c_simd))
@@ -498,68 +485,54 @@ TEST_F(GemmTileTest, CompiledMicroKernelBitwiseEqualsScalarTile) {
 
 // --- executor integration ---------------------------------------------------
 
-float loss_after_step(const models::ModelSpec& spec, double hidden, bool simd,
-                      std::size_t threads) {
-  conc::ThreadPool pool(threads);
-  rt::ExecutorOptions opt;
-  opt.pool = &pool;
-  opt.fuse = true;
-  opt.simd = simd;
-  rt::Executor ex(*spec.graph, spec.bind(hidden, 2), opt);
-  ex.retain(spec.loss);
-  ex.run_step();
-  return ex.value(spec.loss).f(0);
-}
-
-TEST(SimdExecutor, EpsilonParityWithInterpreterOnAllModelsAcrossThreads) {
-  for (ModelCase& c : builtin_models()) {
-    const float want = loss_after_step(c.spec, c.hidden, false, 1);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const float got = loss_after_step(c.spec, c.hidden, true, threads);
-      EXPECT_NEAR(got, want, std::abs(want) * 1e-4 + 1e-6)
-          << c.name << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdExecutor, ScalarPathBitwiseDeterministicAcrossThreads) {
-  // simd off = the seed interpreter path: bit-identical results regardless
-  // of thread count (the pre-codegen acceptance bar, restated).
-  ModelCase c = builtin_models().front();
-  float want = loss_after_step(c.spec, c.hidden, false, 1);
-  std::uint32_t want_bits = 0;
-  std::memcpy(&want_bits, &want, sizeof want_bits);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    float got = loss_after_step(c.spec, c.hidden, false, threads);
-    std::uint32_t got_bits = 0;
-    std::memcpy(&got_bits, &got, sizeof got_bits);
-    EXPECT_EQ(got_bits, want_bits) << "threads=" << threads;
-  }
-}
-
-whatif::Trace profile_fused(const models::ModelSpec& spec, double hidden,
-                            bool simd) {
-  conc::ThreadPool pool(2);
-  rt::ExecutorOptions opt;
-  opt.pool = &pool;
-  opt.fuse = true;
-  opt.simd = simd;
-  rt::Executor ex(*spec.graph, spec.bind(hidden, 2), opt);
-  return whatif::from_report(ex.run_step());
-}
-
 TEST(SimdExecutor, TimelineTagsKernelClassByServingPath) {
-  ModelCase c = builtin_models().front();
-  for (const bool simd : {false, true}) {
-    const whatif::Trace trace = profile_fused(c.spec, c.hidden, simd);
-    const char* expected = simd ? "pointwise-simd" : "pointwise-interp";
+  // Every program fusion forms fits the vector executor's load slots, so
+  // every fused op of every built-in model runs compiled.
+  for (ModelCase& c : builtin_models()) {
+    conc::ThreadPool pool(2);
+    rt::ExecutorOptions opt;
+    opt.pool = &pool;
+    opt.fuse = true;
+    rt::Executor ex(*c.spec.graph, c.spec.bind(c.hidden, 2), opt);
+    const whatif::Trace trace = whatif::from_report(ex.run_step());
     std::size_t fused_ops = 0;
     for (const whatif::TraceOp& op : trace.ops) {
       if (op.type != "FusedPointwise") continue;
       ++fused_ops;
-      EXPECT_EQ(op.kernel_class, expected) << op.name;
+      EXPECT_EQ(op.kernel_class, "pointwise-simd") << c.name << " " << op.name;
     }
-    EXPECT_GT(fused_ops, 0u);
+    EXPECT_GT(fused_ops, 0u) << c.name;
+  }
+}
+
+TEST(SimdExecutor, InterpreterServesProgramsWiderThanLoadSlots) {
+  // A hand-built graph whose one op is the wide kAddN: the executor must
+  // fall back to the interpreter, match it bit for bit, and produce the
+  // same bits at every thread count (n spans several parallel blocks).
+  const std::int64_t n = 3 * 4096 + 5;
+  const std::vector<FusedInstr> program = wide_add_program();
+  const FusedCase c(std::vector<std::int64_t>(kWideInputs, n), program);
+  const std::vector<float> want = run_interp(program, c, n, 1);
+
+  ir::Graph g{"wide_add"};
+  std::vector<ir::Tensor*> xs;
+  for (std::size_t i = 0; i < kWideInputs; ++i)
+    xs.push_back(g.add_input("x" + std::to_string(i), {sym::Expr(n)}));
+  const auto* sum = g.add_op<ir::FusedPointwiseOp>("sum", xs, program,
+                                                   ir::TensorShape{sym::Expr(n)});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    conc::ThreadPool pool(threads);
+    rt::ExecutorOptions opt;
+    opt.pool = &pool;
+    rt::Executor ex(g, sym::Bindings{}, opt);
+    for (std::size_t i = 0; i < kWideInputs; ++i) ex.set_input(xs[i], c.storage[i]);
+    ex.retain(sum->output(0));
+    const rt::ProfileReport report = ex.run_step();
+    const rt::DenseTensor& out = ex.value(sum->output(0));
+    EXPECT_TRUE(bitwise_equal({out.fdata(), out.fdata() + n}, want))
+        << "threads=" << threads;
+    ASSERT_EQ(report.timeline.size(), 1u);
+    EXPECT_EQ(report.timeline[0].kernel_class, "pointwise-interp");
   }
 }
 
@@ -569,7 +542,6 @@ TEST(SimdExecutor, ChromeTraceRoundTripPreservesKernelClass) {
   rt::ExecutorOptions opt;
   opt.pool = &pool;
   opt.fuse = true;
-  opt.simd = true;
   rt::Executor ex(*c.spec.graph, c.spec.bind(c.hidden, 2), opt);
   const rt::ProfileReport report = ex.run_step();
 

@@ -11,15 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/hw/cache_model.h"
-#include "src/hw/cpu_features.h"
 #include "src/ir/graph.h"
 #include "src/ir/ops.h"
-#include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/gemm.h"
 #include "src/runtime/kernels.h"
 
@@ -178,31 +176,32 @@ TEST(BlockedGemm, MatchesReferenceWithinBoundTinyAndAlignedShapes) {
   run_case({2, 5, 3, 2, true, false, false});
 }
 
-/// Forces one micro-kernel for a test's scope: the seed scalar tile or the
-/// best compiled one (with its own register tile and packing).
-class ForcedIsa {
- public:
-  explicit ForcedIsa(hw::SimdIsa isa) { codegen::set_forced_isa(isa); }
-  ~ForcedIsa() { codegen::set_forced_isa(std::nullopt); }
-  ForcedIsa(const ForcedIsa&) = delete;
-  ForcedIsa& operator=(const ForcedIsa&) = delete;
-};
+/// The two micro-kernels blocked_gemm can run: the scalar one (packed for
+/// the seed tile, which no compiled kernel takes) and the active ISA's
+/// compiled one (packed for its register tile).
+std::vector<GemmTiling> both_micro_kernels() {
+  return {select_gemm_tiling(kGemmModelCacheBytes, sizeof(float), {kGemmMr, kGemmNr}),
+          default_gemm_tiling()};
+}
+
+std::string tile_name(const GemmTiling& t) {
+  return std::to_string(t.mr) + "x" + std::to_string(t.nr);
+}
 
 TEST(BlockedGemm, AccumulatesInFloatInAscendingK) {
   // k spans three KC blocks, so the chain is carried across block edges in
   // the float accumulator tile.
-  for (const hw::SimdIsa isa : {hw::SimdIsa::kScalar, hw::best_simd_isa()}) {
-    const ForcedIsa forced(isa);
-    const std::int64_t k = 2 * default_gemm_tiling().kc + 7;
+  for (const GemmTiling& tiling : both_micro_kernels()) {
+    const std::int64_t k = 2 * tiling.kc + 7;
     for (const auto& [m, n] :
          std::vector<std::pair<std::int64_t, std::int64_t>>{{1, 1}, {3, 5}}) {
-      SCOPED_TRACE(testing::Message() << hw::simd_isa_name(isa) << " m=" << m
+      SCOPED_TRACE(testing::Message() << tile_name(tiling) << " m=" << m
                                       << " n=" << n << " k=" << k);
       const std::vector<float> a = random_vec(static_cast<std::size_t>(m * k), 101);
       const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), 103);
       std::vector<float> c(static_cast<std::size_t>(m * n)), want(c.size());
       blocked_gemm(a.data(), b.data(), c.data(), 1, m, n, k, false, false, 0, 0, 0,
-                   default_gemm_tiling(), pool());
+                   tiling, pool());
       for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t j = 0; j < n; ++j) {
           float acc = 0;
@@ -224,17 +223,16 @@ TEST(BlockedGemm, BitwiseIdenticalAcrossThreadCounts) {
   GemmEpilogue bias_tanh;
   bias_tanh.bias = bias.data();
   bias_tanh.act = GemmEpilogue::Act::kTanh;
-  for (const hw::SimdIsa isa : {hw::SimdIsa::kScalar, hw::best_simd_isa()})
+  for (const GemmTiling& tiling : both_micro_kernels())
     for (const GemmEpilogue& epi : {GemmEpilogue{}, bias_tanh}) {
-      SCOPED_TRACE(testing::Message() << hw::simd_isa_name(isa)
+      SCOPED_TRACE(testing::Message() << tile_name(tiling)
                                       << " epilogue=" << (epi.bias != nullptr));
-      const ForcedIsa forced(isa);
       std::vector<std::vector<std::uint32_t>> runs;
       for (int threads : {1, 2, 8}) {
         conc::ThreadPool tp(threads);
         std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
         blocked_gemm(a.data(), b.data(), c.data(), 1, m, n, k, false, false, 0, 0,
-                     0, default_gemm_tiling(), tp, nullptr, epi);
+                     0, tiling, tp, nullptr, epi);
         runs.push_back(bits_of(c));
       }
       EXPECT_EQ(runs[0], runs[1]);
@@ -364,7 +362,6 @@ TEST(ConvBlocked, ForwardMatchesReferenceWithinBound) {
   DenseTensor out({2, 9, 7, 5}, ir::DataType::kFloat32);
   DenseTensor out_ref({2, 9, 7, 5}, ir::DataType::kFloat32);
   KernelStats s1, s2;
-  set_kernel_backend(KernelBackend::kBlocked);
   conv2d(in, f, out, 1, pool(), s1);
   conv2d_reference(in, f, out_ref, 1, s2);
   expect_conv_within_bound(in, f, out, out_ref);
@@ -385,7 +382,6 @@ TEST(ConvBlocked, GradientsMatchReferenceNumerically) {
   DenseTensor df({3, 3, 2, 4}, ir::DataType::kFloat32);
   DenseTensor df_ref({3, 3, 2, 4}, ir::DataType::kFloat32);
   KernelStats s;
-  set_kernel_backend(KernelBackend::kBlocked);
   conv2d_grad_input(dy, f, dx, 1, pool(), s);
   conv2d_grad_input_reference(dy, f, dx_ref, 1, s);
   conv2d_grad_filter(in, dy, df, 1, pool(), s);
@@ -555,20 +551,6 @@ TEST(ParallelKernels, ElementAndRowKernelsBitwiseAcrossThreadCounts) {
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
-}
-
-TEST(KernelBackendSwitch, ReferenceBackendRunsSeedKernelsWithinBound) {
-  DenseTensor in = tensor_from({1, 4, 4, 2}, random_vec(4 * 4 * 2, 83));
-  DenseTensor f = tensor_from({3, 3, 2, 3}, random_vec(3 * 3 * 2 * 3, 89));
-  DenseTensor out_b({1, 4, 4, 3}, ir::DataType::kFloat32);
-  DenseTensor out_r({1, 4, 4, 3}, ir::DataType::kFloat32);
-  KernelStats s;
-  set_kernel_backend(KernelBackend::kBlocked);
-  conv2d(in, f, out_b, 1, pool(), s);
-  set_kernel_backend(KernelBackend::kReference);
-  conv2d(in, f, out_r, 1, pool(), s);
-  set_kernel_backend(KernelBackend::kBlocked);
-  expect_conv_within_bound(in, f, out_b, out_r);
 }
 
 }  // namespace

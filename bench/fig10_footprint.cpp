@@ -32,10 +32,14 @@ int main() {
   cases.push_back({"ResNet-18",
                    models::build_resnet({.depth = 18, .image_size = 32, .classes = 10}),
                    8, 2});
+  // Unfused, so both columns describe the graph as built. The allocator
+  // peak is the static memory plan's: persistent state plus the slab.
+  rt::ExecutorOptions opt;
+  opt.fuse = false;
   for (auto& c : cases) {
     const auto bind = c.spec.bind(c.hidden, c.batch);
     const auto fp = ir::minimal_footprint(*c.spec.graph, bind);
-    rt::Executor ex(*c.spec.graph, bind);
+    rt::Executor ex(*c.spec.graph, bind, opt);
     ex.run_step();
     const auto report = ex.run_step();  // steady state
     check.add_row({c.name, util::format_bytes(fp.total_bytes),

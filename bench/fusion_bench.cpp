@@ -120,12 +120,10 @@ ModeResult run_mode(const ModelCase& c, bool fuse, conc::ThreadPool& pool, int r
   rt::ExecutorOptions opt;
   opt.pool = &pool;
   opt.fuse = fuse;
-  // Plan in both modes so the slab comparison is apples to apples.
-  opt.memory_plan = true;
   rt::Executor ex(*c.spec.graph, bind, opt);
   ex.retain(c.spec.loss);
   ex.run_step();
-  ex.run_step();  // steady state: weight grads + slab exist, GEMM scratch warm
+  ex.run_step();  // steady state: memory plan built, GEMM scratch warm
 
   ModeResult res;
   double best = 1e300;
@@ -140,7 +138,7 @@ ModeResult run_mode(const ModelCase& c, bool fuse, conc::ThreadPool& pool, int r
   res.step_seconds = best;
   res.ops = ex.executing_graph().num_ops();
   res.symbolic_bytes = ex.executing_graph().total_bytes_accessed().eval(bind);
-  if (const rt::MemoryPlan* p = ex.memory_plan()) res.slab_bytes = p->slab_bytes;
+  res.slab_bytes = ex.memory_plan()->slab_bytes;
   if (const ir::FusionResult* f = ex.fusion_result()) {
     res.pointwise_groups = f->pointwise_groups;
     res.gemm_epilogues = f->gemm_epilogues;

@@ -1,20 +1,22 @@
-// Memory-planner benchmark: per-op heap allocation vs the static slab plan
-// (src/runtime/memplan.h) on the paper's models at toy sizes.
+// Memory-planner benchmark: the static slab plan (src/runtime/memplan.h)
+// on the paper's models at toy sizes.
 //
-// For each model the same training step runs twice — memory_plan off
-// (per-op heap, the seed behavior) and on (one slab, fixed offsets) — and
-// the bench reports, as a console table and BENCH_memplan.json:
+// For each model one unfused training step runs under the plan (unfused so
+// the plan shape stays comparable with earlier BENCH_memplan.json files),
+// and the bench reports, as a console table and BENCH_memplan.json:
 //
-//   - heap allocations + bytes per steady-state step (the planned path
-//     must be O(1): zero AlignedAllocator hits once the slab exists)
-//   - best-of-reps step wall time for both paths
+//   - heap allocations + bytes per steady-state step (must be O(1): zero
+//     AlignedAllocator hits once the slab exists)
+//   - best-of-reps step wall time
 //   - plan shape: slab vs gross bytes, reuse fraction, alias count
-//   - arena peaks, and a bitwise loss comparison after identical steps
+//   - the arena peak next to the Fig 10 topological footprint, and a
+//     bitwise loss comparison against an executor whose plan shares no
+//     storage (every tensor retained: no reuse, no aliasing)
 //
-// Hard failures (nonzero exit): planned-path allocations not O(1), loss
-// bits differing between the two paths, or the planned peak exceeding the
-// heap path's peak beyond alignment padding. Step-time deltas are emitted
-// for the perf trajectory but not gated — wall-clock gates flake in CI.
+// Hard failures (nonzero exit): allocations not O(1), loss bits differing
+// from the share-nothing executor's, or the planned peak exceeding the
+// footprint beyond alignment padding. Step times are emitted for the perf
+// trajectory but not gated — wall-clock gates flake in CI.
 //
 // Flags: --smoke (2 models, 1 rep — CI), --threads N, --out PATH.
 #include <chrono>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "src/concurrency/thread_pool.h"
+#include "src/ir/footprint.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
 #include "src/util/format.h"
@@ -86,34 +89,47 @@ std::vector<ModelCase> bench_models(bool smoke) {
   return cases;
 }
 
-struct ModeResult {
+struct CaseResult {
+  std::string name;
+  std::size_t ops = 0;
   double step_seconds = 0;
   std::size_t allocs_per_step = 0;
   std::size_t alloc_bytes_per_step = 0;
   std::size_t peak_bytes = 0;
-  std::uint32_t loss_bits = 0;
-  // Plan shape (planned mode only).
+  double footprint_bytes = 0;
   std::size_t planned_tensors = 0;
   std::size_t aliases = 0;
   std::size_t slab_bytes = 0;
   std::size_t gross_bytes = 0;
   double reuse_fraction = 0;
+  bool allocs_o1 = false;
+  bool loss_bitwise = false;
+  bool peak_ok = false;
 };
 
-ModeResult run_mode(const ModelCase& c, bool plan, conc::ThreadPool& pool, int reps) {
+std::uint32_t loss_bits(const rt::Executor& ex, const ir::Tensor* loss) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, ex.value(loss).fdata(), sizeof(float));
+  return bits;
+}
+
+CaseResult run_case(const ModelCase& c, conc::ThreadPool& pool, int reps) {
+  const sym::Bindings bind = c.spec.bind(c.hidden, c.batch);
   rt::ExecutorOptions opt;
   opt.pool = &pool;
-  opt.memory_plan = plan;
-  rt::Executor ex(*c.spec.graph, c.spec.bind(c.hidden, c.batch), opt);
+  opt.fuse = false;
+  rt::Executor ex(*c.spec.graph, bind, opt);
   ex.retain(c.spec.loss);
   ex.run_step();
-  ex.run_step();  // steady state: weight grads + slab exist, GEMM scratch warm
+  ex.run_step();  // steady state: slab exists, GEMM scratch warm
 
   // Best-of-reps time and min-of-reps allocations: per-thread kernel
   // scratch (GEMM panels, im2col) grows monotonically, so a rep that lands
   // a big conv on a cold thread may still allocate — the min is the true
   // steady state.
-  ModeResult res;
+  CaseResult res;
+  res.name = c.name;
+  res.ops = c.spec.graph->num_ops();
   double best = 1e300;
   res.allocs_per_step = static_cast<std::size_t>(-1);
   for (int r = 0; r < 1 + reps; ++r) {
@@ -129,48 +145,44 @@ ModeResult run_mode(const ModelCase& c, bool plan, conc::ThreadPool& pool, int r
     res.peak_bytes = report.peak_allocated_bytes;
   }
   res.step_seconds = best;
-  std::memcpy(&res.loss_bits, ex.value(c.spec.loss).fdata(), sizeof(float));
-  if (const rt::MemoryPlan* p = ex.memory_plan()) {
-    res.planned_tensors = p->tensors.size();
-    res.aliases = p->alias_count;
-    res.slab_bytes = p->slab_bytes;
-    res.gross_bytes = p->gross_bytes;
-    res.reuse_fraction = p->reuse_fraction();
-  }
+  const rt::MemoryPlan& p = *ex.memory_plan();
+  res.planned_tensors = p.tensors.size();
+  res.aliases = p.alias_count;
+  res.slab_bytes = p.slab_bytes;
+  res.gross_bytes = p.gross_bytes;
+  res.reuse_fraction = p.reuse_fraction();
+  res.footprint_bytes = ir::minimal_footprint(*c.spec.graph, bind).total_bytes;
+
+  // The same step count on an executor that retains every tensor: its plan
+  // shares no storage, so it is the reference for "slab reuse, aliasing
+  // and reuse-edge scheduling do not change bits".
+  rt::Executor unshared(*c.spec.graph, bind, opt);
+  for (const auto& t : c.spec.graph->tensors()) unshared.retain(t.get());
+  for (int r = 0; r < 3 + reps; ++r) unshared.run_step();
+
+  // O(1) heap allocations per step, bitwise-equal losses, and a slab that
+  // costs no more arena than per-op liveness freeing (the topological
+  // footprint) modulo alignment padding.
+  res.allocs_o1 = res.allocs_per_step <= 2;
+  res.loss_bitwise = loss_bits(ex, c.spec.loss) == loss_bits(unshared, c.spec.loss);
+  res.peak_ok = static_cast<double>(res.peak_bytes) <=
+                res.footprint_bytes +
+                    static_cast<double>(rt::kTensorAlignment * res.planned_tensors);
   return res;
 }
 
-struct CaseResult {
-  std::string name;
-  std::size_t ops = 0;
-  ModeResult heap;
-  ModeResult planned;
-  bool allocs_o1 = false;
-  bool loss_bitwise = false;
-  bool peak_ok = false;
-};
-
 void write_json(const std::string& path, std::size_t threads,
                 const std::vector<CaseResult>& results) {
-  const auto mode = [](const ModeResult& m) {
-    return util::Json::object({{"step_seconds", m.step_seconds},
-                               {"allocs_per_step", m.allocs_per_step},
-                               {"alloc_bytes_per_step", m.alloc_bytes_per_step},
-                               {"peak_bytes", m.peak_bytes}});
-  };
   util::Json models = util::Json::array();
   for (const CaseResult& r : results)
     models.push_back(util::Json::object(
-        {{"name", r.name}, {"ops", r.ops}, {"planned_tensors", r.planned.planned_tensors},
-         {"aliases", r.planned.aliases}, {"slab_bytes", r.planned.slab_bytes},
-         {"gross_bytes", r.planned.gross_bytes},
-         {"reuse_fraction", r.planned.reuse_fraction},
-         {"heap", mode(r.heap)}, {"planned", mode(r.planned)},
-         {"step_speedup", r.planned.step_seconds > 0
-                              ? r.heap.step_seconds / r.planned.step_seconds
-                              : 0.0},
-         {"allocs_o1", r.allocs_o1}, {"loss_bitwise_match", r.loss_bitwise},
-         {"peak_within_footprint", r.peak_ok}}));
+        {{"name", r.name}, {"ops", r.ops}, {"planned_tensors", r.planned_tensors},
+         {"aliases", r.aliases}, {"slab_bytes", r.slab_bytes},
+         {"gross_bytes", r.gross_bytes}, {"reuse_fraction", r.reuse_fraction},
+         {"step_seconds", r.step_seconds}, {"allocs_per_step", r.allocs_per_step},
+         {"alloc_bytes_per_step", r.alloc_bytes_per_step}, {"peak_bytes", r.peak_bytes},
+         {"footprint_bytes", r.footprint_bytes}, {"allocs_o1", r.allocs_o1},
+         {"loss_bitwise_match", r.loss_bitwise}, {"peak_within_footprint", r.peak_ok}}));
   const util::Json doc = util::Json::object({{"threads", threads}, {"models", models}});
   std::ofstream(path) << doc.dump() << "\n";
 }
@@ -199,40 +211,23 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
 
   std::vector<CaseResult> results;
-  util::Table table({"model", "ops", "slab", "reuse", "heap allocs/step",
-                     "plan allocs/step", "heap step", "plan step", "checks"});
+  util::Table table({"model", "ops", "slab", "reuse", "allocs/step", "step", "arena peak",
+                     "footprint", "checks"});
   bool ok = true;
   for (ModelCase& c : bench_models(smoke)) {
-    CaseResult r;
-    r.name = c.name;
-    r.ops = c.spec.graph->num_ops();
-    r.heap = run_mode(c, /*plan=*/false, pool, reps);
-    r.planned = run_mode(c, /*plan=*/true, pool, reps);
-
-    // Identical step counts + deterministic kernels: the two paths must
-    // agree on the loss to the bit, the planned path must hit the heap at
-    // most O(1) times per step, and packing the slab must not cost more
-    // arena than per-op liveness freeing (modulo alignment padding).
-    r.allocs_o1 = r.planned.allocs_per_step <= 2 &&
-                  r.heap.allocs_per_step > r.planned.allocs_per_step;
-    r.loss_bitwise = r.heap.loss_bits == r.planned.loss_bits;
-    r.peak_ok = r.planned.peak_bytes <=
-                r.heap.peak_bytes + rt::kTensorAlignment * r.planned.planned_tensors;
-    ok = ok && r.allocs_o1 && r.loss_bitwise && r.peak_ok;
-
-    table.add_row(
-        {r.name, std::to_string(r.ops),
-         util::format_bytes(static_cast<double>(r.planned.slab_bytes)),
-         util::format_percent(r.planned.reuse_fraction),
-         std::to_string(r.heap.allocs_per_step),
-         std::to_string(r.planned.allocs_per_step),
-         util::format_duration(r.heap.step_seconds, 3),
-         util::format_duration(r.planned.step_seconds, 3),
-         r.allocs_o1 && r.loss_bitwise && r.peak_ok ? "ok" : "FAIL"});
+    const CaseResult r = run_case(c, pool, reps);
+    const bool pass = r.allocs_o1 && r.loss_bitwise && r.peak_ok;
+    ok = ok && pass;
+    table.add_row({r.name, std::to_string(r.ops),
+                   util::format_bytes(static_cast<double>(r.slab_bytes)),
+                   util::format_percent(r.reuse_fraction), std::to_string(r.allocs_per_step),
+                   util::format_duration(r.step_seconds, 3),
+                   util::format_bytes(static_cast<double>(r.peak_bytes)),
+                   util::format_bytes(r.footprint_bytes), pass ? "ok" : "FAIL"});
     results.push_back(r);
   }
 
-  std::cout << "== static memory plan vs per-op heap (threads=" << threads << ") ==\n";
+  std::cout << "== static memory plan (threads=" << threads << ") ==\n";
   table.print(std::cout);
   write_json(out_path, threads, results);
   std::cout << "wrote " << out_path << "\n";

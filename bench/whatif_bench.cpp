@@ -118,16 +118,12 @@ std::pair<rt::ProfileReport, rt::ProfileReport> profile_both(
   rt::ExecutorOptions opt;
   opt.pool = &pool;
   opt.fuse = false;
-  // Plan memory as fusion_bench does: with the slab the step pays no
-  // per-op allocation, so the calibrated surcharge prices dispatch alone
-  // and the measured fusion win is the one the rewrite was PR'd with.
-  opt.memory_plan = true;
   opt.schedule = rt::Schedule::kSequential;
   rt::ExecutorOptions fused_opt = opt;
   fused_opt.fuse = true;
   rt::Executor unfused(*spec.graph, bind, opt);
   rt::Executor fused(*spec.graph, bind, fused_opt);
-  // Steady state for both: weight grads + slab + GEMM scratch warm.
+  // Steady state for both: memory plan built, GEMM scratch warm.
   unfused.run_step();
   unfused.run_step();
   fused.run_step();

@@ -61,6 +61,7 @@
 // key off these: a defective graph must exit 2 no matter how it is
 // broken.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -90,6 +91,21 @@ struct Args {
   double number(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  }
+
+  /// A count flag: a whole decimal number of at least `min`. Anything else
+  /// throws, so main() exits 1 naming the flag before any model or pool is
+  /// built.
+  int count(const std::string& key, int fallback, int min) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    int value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() || value < min)
+      throw std::invalid_argument("--" + key + " must be a whole number >= " +
+                                  std::to_string(min) + ", got '" + text + "'");
+    return value;
   }
 };
 
@@ -290,11 +306,11 @@ int cmd_subbatch(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
   const double lo = args.number("from", 3e7);
   const double hi = args.number("to", 6e8);
-  const int points = static_cast<int>(args.number("points", 8));
+  const int points = args.count("points", 8, 2);
   const double batch = args.number("batch", 32);
+  const auto spec = build_named(args.positional.at(1));
 
   const analysis::ModelAnalyzer analyzer(spec);
   const auto targets = analysis::log_spaced(lo, hi, points);
@@ -321,12 +337,12 @@ int cmd_export(const Args& args) {
 // the wavefront scheduler and writes the last step's per-op timeline as
 // Chrome trace-event JSON (load in chrome://tracing or ui.perfetto.dev).
 int cmd_trace(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
   const std::string path = args.positional.at(2);
   const double hidden = args.number("hidden", 32);
   const double batch = args.number("batch", 4);
-  const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const int steps = static_cast<int>(args.number("steps", 1));
+  const auto threads = static_cast<std::size_t>(args.count("threads", 0, 0));
+  const int steps = args.count("steps", 1, 1);
+  const auto spec = build_named(args.positional.at(1));
   const auto schedule_it = args.flags.find("schedule");
   const std::string schedule_name =
       schedule_it == args.flags.end() ? "wavefront" : schedule_it->second;
@@ -405,7 +421,7 @@ int cmd_memplan(const Args& args) {
   }
   table.print(std::cout);
   std::cout << "(hidden " << hidden << ", batch " << batch
-            << "; gross = per-op heap total, slab = planned arena, reuse = saved "
+            << "; gross = sum of planned tensors, slab = planned arena, reuse = saved "
                "fraction)\n";
   if (!all_within_footprint) {
     std::cerr << "gfctl: a planned slab exceeds the sequential minimal footprint\n";
@@ -416,7 +432,7 @@ int cmd_memplan(const Args& args) {
 
 // Fusion rewrite report: what the pass finds on each built-in model and
 // what it buys analytically. The executor takes the same rewrite at run
-// time via --fuse here or ExecutorOptions::fuse / GF_FUSE=1.
+// time via --fuse here or ExecutorOptions::fuse (on by default).
 int cmd_fuse(const Args& args) {
   const double hidden = args.number("hidden", 32);
   const double batch = args.number("batch", 4);
@@ -469,6 +485,7 @@ int cmd_whatif(const Args& args) {
     throw std::invalid_argument("whatif needs a trace file: gfctl whatif <trace.json>");
   const whatif::Trace trace = load_trace_or_throw(args.positional[1]);
   const bool json = args.flags.count("json") != 0;
+  const int workers = args.count("workers", 0, 0);
 
   whatif::ResimOptions opt;
   if (auto it = args.flags.find("overhead"); it != args.flags.end())
@@ -510,7 +527,6 @@ int cmd_whatif(const Args& args) {
     transforms.push_back("fuse " + std::to_string(groups.size()) + " groups (" +
                          model_it->second + ")");
   }
-  const int workers = static_cast<int>(args.number("workers", 0));
   if (workers > 0) {
     opt.placement = whatif::Placement::kGreedy;
     opt.workers = workers;
@@ -657,13 +673,14 @@ int cmd_lint(const Args& args) {
 // any worker count changes the loss bits of any step.
 int cmd_datapar(const Args& args) {
   const std::string domain = args.positional.size() > 1 ? args.positional[1] : "wordlm";
-  const auto spec = build_named(domain);
-  const int shards = static_cast<int>(args.number("shards", 8));
+  const int shards = args.count("shards", 8, 1);
   const double hidden = args.number("hidden", 32);
   const double batch = args.number("batch", 2.0 * shards);
-  const auto threads = static_cast<std::size_t>(args.number("threads", 1));
-  const int steps = static_cast<int>(args.number("steps", 3));
+  const auto threads = static_cast<std::size_t>(args.count("threads", 1, 0));
+  const int steps = args.count("steps", 3, 1);
   const double bucket_kb = args.number("bucket-kb", 64);
+  if (!(bucket_kb > 0)) throw std::invalid_argument("--bucket-kb must be positive");
+  const auto spec = build_named(domain);
   const double sigma = args.number("straggler", 0);
   const auto bind = spec.bind(hidden, batch);
 
@@ -763,9 +780,8 @@ int cmd_datapar(const Args& args) {
 // regardless of worker count. --file preloads a serialized graph so the
 // first request over that model is already warm.
 int cmd_serve(const Args& args) {
-  const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const auto max_in_flight =
-      static_cast<std::size_t>(args.number("max-in-flight", 64));
+  const auto threads = static_cast<std::size_t>(args.count("threads", 0, 0));
+  const auto max_in_flight = static_cast<std::size_t>(args.count("max-in-flight", 64, 1));
 
   conc::ThreadPool pool(threads);
   serve::AnalysisService service(pool);

@@ -167,6 +167,25 @@ void fuse_pointwise_chains(Graph& g, FusionResult& result) {
     }
     if (group.members.size() + group.broadcasts.size() < 2) continue;
 
+    // Externals, deduplicated, broadcast outputs resolved to sources: the
+    // fused op's inputs. A group wider than FusedPointwiseOp accepts is
+    // rejected whole, leaving upstream roots to form narrower groups.
+    std::vector<const Tensor*> ext;
+    {
+      std::unordered_set<const Tensor*> seen;
+      for (const Op* m : group.members)
+        for (Tensor* t : m->inputs()) {
+          const Op* p = t->producer();
+          if (p != nullptr && in_group.count(p) != 0 &&
+              p->type() != OpType::kBroadcast)
+            continue;
+          auto bit = group.bcast_source.find(t);
+          const Tensor* src = bit == group.bcast_source.end() ? t : bit->second;
+          if (seen.insert(src).second) ext.push_back(src);
+        }
+    }
+    if (ext.size() > FusedPointwiseOp::kMaxInputs) continue;
+
     // Liveness-neutrality gate. Fusing runs every member at one schedule
     // point (right after the last external is produced), which extends
     // each external's life to that point and the output's life back to
@@ -181,22 +200,6 @@ void fuse_pointwise_chains(Graph& g, FusionResult& result) {
     // unclaimed, so later (more upstream) roots in this reverse-topo walk
     // re-form smaller subgroups that do pass.
     const auto group_live_delta_ok = [&]() {
-      auto resolve_src = [&](Tensor* t) -> Tensor* {
-        auto bit = group.bcast_source.find(t);
-        return bit == group.bcast_source.end() ? t : bit->second;
-      };
-      // Externals, deduplicated, broadcast outputs resolved to sources.
-      std::vector<const Tensor*> ext;
-      std::unordered_set<const Tensor*> seen;
-      for (const Op* m : group.members)
-        for (Tensor* t : m->inputs()) {
-          const Op* p = t->producer();
-          if (p != nullptr && in_group.count(p) != 0 &&
-              p->type() != OpType::kBroadcast)
-            continue;
-          const Tensor* src = resolve_src(t);
-          if (seen.insert(src).second) ext.push_back(src);
-        }
       // Fused execution slot: ready right after the last external exists
       // (list placement below makes the tiebreak pick it up immediately).
       std::size_t e = 0;

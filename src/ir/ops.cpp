@@ -373,6 +373,8 @@ FusedPointwiseOp::FusedPointwiseOp(Graph* g, std::string name,
   require(program_.size() <= kMaxInstrs, this->name(),
           "program exceeds kMaxInstrs (" + std::to_string(kMaxInstrs) + ")");
   const std::size_t nin = inputs.size();
+  require(nin <= kMaxInputs, this->name(),
+          "inputs exceed kMaxInputs (" + std::to_string(kMaxInputs) + ")");
 
   // Program well-formedness: per-fn arity, no forward/out-of-range operand
   // references, and connectivity (every external input and every

@@ -199,6 +199,10 @@ class FusedPointwiseOp final : public Op {
   /// Upper bound on program length: the kernel interprets programs with a
   /// fixed-size per-element register file on the stack.
   static constexpr std::size_t kMaxInstrs = 64;
+  /// Upper bound on external inputs: the compiled executor keeps one
+  /// vector register image per input in a fixed-size array, so every op
+  /// that constructs also compiles.
+  static constexpr std::size_t kMaxInputs = 96;
 
   /// `adopt`, when non-null, is an existing tensor (the fused root's
   /// output) taken over as this op's output so downstream consumers keep

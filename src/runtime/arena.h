@@ -2,9 +2,10 @@
 // paper compares its topological footprint estimates against (Figure 10),
 // plus the aligned allocator every runtime buffer goes through.
 //
-// Lock-free: the wavefront executor allocates from its dispatch thread while
-// worker threads release retired activations concurrently, so current/peak
-// are maintained with atomics (peak via a CAS loop).
+// Counters are atomics (peak via a CAS loop), so they stay consistent if
+// charged from several threads. The executor charges its persistent state
+// and the memory plan's slab from the thread that builds it or calls
+// run_step(); pool workers never allocate or free.
 #pragma once
 
 #include <atomic>
@@ -20,8 +21,8 @@ namespace gf::rt {
 inline constexpr std::size_t kTensorAlignment = 64;
 
 /// Process-wide counters over every AlignedAllocator heap allocation.
-/// memplan_bench uses the deltas to show a planned step performs O(1)
-/// allocations where the per-op heap path performs O(ops).
+/// memplan_bench uses the deltas to show a steady-state step performs O(1)
+/// allocations.
 struct AlignedAllocStats {
   static std::atomic<std::size_t>& count() {
     static std::atomic<std::size_t> v{0};

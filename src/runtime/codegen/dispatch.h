@@ -69,8 +69,9 @@ bool gemm_micro_kernel(SimdIsa isa, const float* a_strip, const float* b_strip,
                        std::int64_t nr);
 
 /// True when the vector executors can run this lowered program (the load
-/// slot count fits their fixed value array). Callers keep the interpreter
-/// when this is false.
+/// slot count fits their fixed value array). Holds for every program of a
+/// constructed FusedPointwiseOp, whose inputs are capped at kMaxInputs;
+/// run_lowered still checks it because it guards fixed-size arrays.
 bool compilable(const LoweredProgram& program);
 
 /// Executes a lowered fused-pointwise program over `n` output elements on

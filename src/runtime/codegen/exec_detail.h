@@ -21,10 +21,9 @@ inline constexpr std::int64_t kSimdBlock = 4096;
 
 /// Capacity of the per-block value array: one vector register image per
 /// load slot and per surviving instruction. Programs are capped at
-/// kMaxInstrs; load slots are deduplicated external inputs, capped here —
-/// the dispatcher falls back to the interpreter beyond that (an op with
-/// >96 distinct operands is far outside the fusion pass's shapes).
-inline constexpr int kMaxLoadSlots = 96;
+/// kMaxInstrs; load slots are deduplicated external inputs, so
+/// FusedPointwiseOp's input cap bounds them.
+inline constexpr int kMaxLoadSlots = static_cast<int>(ir::FusedPointwiseOp::kMaxInputs);
 inline constexpr int kMaxSlots =
     kMaxLoadSlots + static_cast<int>(ir::FusedPointwiseOp::kMaxInstrs);
 

@@ -505,9 +505,8 @@ void DataParallelRunner::run_worker(int w) {
       for (std::size_t i = 0; i < inputs_.size(); ++i)
         wk.ex->set_input(inputs_[i], micro_inputs_[static_cast<std::size_t>(shard)][i]);
       const bool last = m + 1 == micro;
-      // Overlap needs the cached gradient-storage pointers, which only
-      // exist after the first step materialized the gradients — the first
-      // step always runs the join-then-reduce path.
+      // Overlap needs the gradient-storage pointers cached after the first
+      // step — the first step always runs the join-then-reduce path.
       const bool overlap = last && options_.overlap && primed_;
       if (overlap) wk.overlap_active.store(true, std::memory_order_release);
       wk.micro_start.push_back(seconds_between(wk.step_start, Clock::now()));

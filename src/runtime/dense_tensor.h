@@ -29,9 +29,6 @@ class DenseTensor {
   static DenseTensor view(std::vector<std::int64_t> shape, ir::DataType dtype,
                           void* data);
 
-  /// True when storage is an external view rather than an owned buffer.
-  bool is_view() const { return ext_ != nullptr; }
-
   /// Zero-fills the storage (owned or viewed).
   void fill_zero();
 

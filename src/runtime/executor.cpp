@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <random>
 #include <stdexcept>
+
+#include <sanitizer/asan_interface.h>
 
 #include "src/ir/serialize.h"
 #include "src/runtime/codegen/dispatch.h"
@@ -48,15 +48,9 @@ std::int64_t infer_int_range(const ir::Tensor* t, const sym::Bindings& bind) {
 
 }  // namespace
 
-bool memory_plan_env_default() {
-  const char* env = std::getenv("GF_MEMORY_PLAN");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
+bool memory_plan_env_default() { return true; }
 
-bool fuse_env_default() {
-  const char* env = std::getenv("GF_FUSE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
+bool fuse_env_default() { return true; }
 
 bool simd_env_default() { return true; }
 
@@ -93,25 +87,19 @@ Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptio
     k.alphas.reserve(f.program().size());
     for (const ir::FusedInstr& instr : f.program())
       k.alphas.push_back(static_cast<float>(instr.alpha.eval(bindings_)));
-    k.compilable = codegen::compilable(k.lowered);
   }
   for (const auto& t : graph_->tensors()) {
     shapes_.emplace(t.get(), t->shape().eval(bindings_));
   }
-  // Persistent state: weights (random), optimizer slots (zero).
+  // Persistent state: weights (random), weight gradients and optimizer
+  // slots (zero). Everything else lives in the memory plan's slab.
   for (const auto& t : graph_->tensors()) {
-    if (t->role() == ir::TensorRole::kWeight ||
-        t->role() == ir::TensorRole::kOptimizerState) {
-      DenseTensor value(shapes_.at(t.get()), t->dtype());
-      if (t->role() == ir::TensorRole::kWeight) random_fill(t.get(), value);
-      arena_.allocate(algorithmic_bytes_of(*t, shapes_.at(t.get())));
-      persistent_.emplace(t.get(), std::move(value));
-    }
+    if (!t->is_persistent()) continue;
+    DenseTensor value(shapes_.at(t.get()), t->dtype());
+    if (t->role() == ir::TensorRole::kWeight) random_fill(t.get(), value);
+    arena_.allocate(algorithmic_bytes_of(*t, shapes_.at(t.get())));
+    persistent_.emplace(t.get(), std::move(value));
   }
-}
-
-std::size_t Executor::tensor_bytes(const ir::Tensor* tensor) const {
-  return algorithmic_bytes_of(*tensor, shapes_.at(tensor));
 }
 
 void deterministic_fill(const ir::Tensor* tensor, const sym::Bindings& bindings,
@@ -141,7 +129,7 @@ const ir::Tensor* Executor::map_tensor(const ir::Tensor* tensor) const {
   if (it == remap_.end())
     throw std::invalid_argument(
         "tensor '" + tensor->name() +
-        "' was eliminated by fusion (ExecutorOptions::fuse / GF_FUSE); only "
+        "' was eliminated by fusion (ExecutorOptions::fuse); only "
         "surviving tensors are addressable");
   return it->second;
 }
@@ -173,9 +161,12 @@ DenseTensor& Executor::weight_value(const ir::Tensor* tensor) {
 const DenseTensor& Executor::value(const ir::Tensor* tensor) const {
   tensor = map_tensor(tensor);
   if (auto it = persistent_.find(tensor); it != persistent_.end()) return it->second;
-  if (auto it = transient_.find(tensor); it != transient_.end()) return it->second;
   if (auto it = pinned_inputs_.find(tensor); it != pinned_inputs_.end())
     return it->second;
+  // Every planned tensor has a slab view, but only a retained one still
+  // holds its value after the step (and only under the plan it ran with).
+  if (!plan_dirty_ && retained_.contains(tensor))
+    if (auto it = transient_.find(tensor); it != transient_.end()) return it->second;
   throw std::invalid_argument("value: '" + tensor->name() +
                               "' was not retained (call retain() before run_step)");
 }
@@ -185,65 +176,41 @@ DenseTensor& Executor::storage(const ir::Tensor* tensor) {
   if (auto it = transient_.find(tensor); it != transient_.end()) return it->second;
   if (auto it = pinned_inputs_.find(tensor); it != pinned_inputs_.end())
     return it->second;
-  throw std::logic_error("storage: tensor '" + tensor->name() + "' not materialized");
-}
-
-DenseTensor& Executor::materialize(const ir::Tensor* tensor) {
-  if (tensor->is_persistent()) {
-    // Weight gradients are produced fresh each step.
-    auto [it, inserted] = persistent_.try_emplace(tensor);
-    if (inserted) {
-      it->second = DenseTensor(shapes_.at(tensor), tensor->dtype());
-      arena_.allocate(tensor_bytes(tensor));
-    }
-    return it->second;
-  }
-  auto [it, inserted] = transient_.try_emplace(tensor);
-  if (inserted) {
-    const PlannedTensor* pt = plan_active_ ? plan_.find(tensor) : nullptr;
-    if (pt != nullptr) {
-      // Slab-resident: a non-owning view at the planned offset. The slab
-      // was charged to the arena once in build_plan(), so no accounting
-      // here; the bytes are NOT zeroed — resolve() schedules zeroing at
-      // execution time for non-aliased outputs (ResolvedOp::zero_first).
-      it->second =
-          DenseTensor::view(shapes_.at(tensor), tensor->dtype(), slab_.data() + pt->offset);
-    } else {
-      it->second = DenseTensor(shapes_.at(tensor), tensor->dtype());
-      arena_.allocate(tensor_bytes(tensor));
-    }
-  }
-  return it->second;
+  throw std::logic_error("storage: tensor '" + tensor->name() + "' has no storage");
 }
 
 void Executor::build_plan() {
-  if (plan_active_) {
-    // Replacing a plan: stale views point into the old slab; drop them and
-    // un-charge the old slab before the new one is accounted.
-    for (auto it = transient_.begin(); it != transient_.end();) {
-      if (it->second.is_view()) {
-        it = transient_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    arena_.release(plan_.slab_bytes);
+  if (plan_) {
+    // Replacing a plan: its views point into the old slab. Un-charge the
+    // old slab before the new one is accounted, and make it addressable
+    // again so the allocator may reuse it.
+    transient_.clear();
+    arena_.release(plan_->slab_bytes);
+    ASAN_UNPOISON_MEMORY_REGION(slab_.data(), slab_.size());
   }
   MemPlanOptions mopts;
   mopts.exclude.reserve(pinned_inputs_.size());
   for (const auto& [t, v] : pinned_inputs_) mopts.exclude.insert(t);
   mopts.retained = retained_;
   plan_ = plan_memory(*graph_, dag_, bindings_, mopts);
+  const MemoryPlan& plan = *plan_;
 
-  slab_.resize(plan_.slab_bytes);
-  arena_.allocate(plan_.slab_bytes);
+  slab_ = AlignedVector<unsigned char>(plan.slab_bytes);
+  arena_.allocate(plan.slab_bytes);
+  // The slab's bytes are NOT zeroed per step: execute_resolved zeroes
+  // non-aliased outputs just before their producer runs (zero_first).
+  transient_.reserve(plan.tensors.size());
+  for (const PlannedTensor& pt : plan.tensors)
+    transient_.emplace(pt.tensor, DenseTensor::view(shapes_.at(pt.tensor), pt.tensor->dtype(),
+                                                    slab_.data() + pt.offset));
+  poison_slab();
 
-  // Wavefront scheduling must also respect the plan's reuse edges: an op
-  // that first writes a reused slab range may not run until every accessor
-  // of the range's previous occupant retired.
+  // Both schedules must also respect the plan's reuse edges: an op that
+  // first writes a reused slab range may not run until every accessor of
+  // the range's previous occupant retired.
   planned_successors_ = dag_.successors;
   planned_predecessor_count_ = dag_.predecessor_count;
-  for (const auto& [from, to] : plan_.reuse_edges) {
+  for (const auto& [from, to] : plan.reuse_edges) {
     auto& succ = planned_successors_[from];
     auto pos = std::lower_bound(succ.begin(), succ.end(), to);
     if (pos != succ.end() && *pos == to) continue;  // already a DAG edge
@@ -251,28 +218,41 @@ void Executor::build_plan() {
     ++planned_predecessor_count_[to];
   }
 
-  plan_active_ = true;
+  resolved_.assign(dag_.order.size(), {});
+  for (std::size_t i = 0; i < dag_.order.size(); ++i) {
+    const ir::Op& op = *dag_.order[i];
+    ResolvedOp& r = resolved_[i];
+    r.op = &op;
+    if (op.type() == ir::OpType::kFusedPointwise) r.fused = &fused_kernels_[i];
+    for (const ir::Tensor* t : op.outputs()) {
+      DenseTensor* out = &storage(t);
+      r.out.push_back(out);
+      if (const PlannedTensor* pt = plan.find(t); pt != nullptr) {
+        r.extents.emplace_back(slab_.data() + pt->offset, pt->bytes);
+        if (pt->alias_root == nullptr) r.zero_first.push_back(out);
+      }
+    }
+    for (const ir::Tensor* t : op.inputs()) r.in.push_back(&storage(t));
+  }
   plan_dirty_ = false;
 }
 
-void Executor::prepare_step() {
-  // Drop any non-retained leftovers from a previous step. Slab views carry
-  // no individual arena charge (the slab is charged once).
-  for (auto it = transient_.begin(); it != transient_.end();) {
-    if (!retained_.contains(it->first)) {
-      if (!it->second.is_view()) arena_.release(tensor_bytes(it->first));
-      it = transient_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void Executor::poison_slab() {
+  ASAN_POISON_MEMORY_REGION(slab_.data(), slab_.size());
+  for (const ir::Tensor* t : retained_)
+    if (const PlannedTensor* pt = plan_->find(t); pt != nullptr)
+      ASAN_UNPOISON_MEMORY_REGION(slab_.data() + pt->offset, pt->bytes);
+}
 
-  // Materialize producerless tensors: inputs (pinned or random) and
-  // gradient seeds (ones).
+void Executor::prepare_step() {
+  // Fill producerless tensors: inputs (pinned or random) and gradient
+  // seeds (ones).
   for (const auto& t : graph_->tensors()) {
     if (t->producer() != nullptr || t->is_persistent()) continue;
     if (t->role() == ir::TensorRole::kInput && pinned_inputs_.contains(t.get())) continue;
-    DenseTensor& v = materialize(t.get());
+    const PlannedTensor* pt = plan_->find(t.get());
+    ASAN_UNPOISON_MEMORY_REGION(slab_.data() + pt->offset, pt->bytes);
+    DenseTensor& v = transient_.at(t.get());
     if (t->role() == ir::TensorRole::kGradient) {
       for (std::int64_t i = 0; i < v.numel(); ++i) v.f(i) = 1.0f;
     } else {
@@ -281,113 +261,29 @@ void Executor::prepare_step() {
   }
 }
 
-void Executor::free_if_dead(
-    const ir::Tensor* t,
-    const std::unordered_map<const ir::Tensor*, std::size_t>& pending) {
-  if (t->is_persistent() || retained_.contains(t)) return;
-  if (pending.at(t) != 0) return;
-  if (pinned_inputs_.contains(t)) return;
-  auto it = transient_.find(t);
-  if (it != transient_.end()) {
-    if (!it->second.is_view()) arena_.release(tensor_bytes(t));
-    transient_.erase(it);
-  }
-}
-
-std::size_t Executor::simulated_sequential_peak() const {
-  // Replays the sequential schedule's arena trajectory against the current
-  // step-start state (resident transients, retained values, pinned inputs,
-  // already-allocated persistent gradients). Mirrors run_step_sequential's
-  // allocate/free rules exactly, so the returned peak is both achievable
-  // and never exceeded by that schedule — the wavefront allocation budget.
-  std::size_t live = arena_.current_bytes();
-  std::size_t peak = live;
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending.emplace(t.get(), t->consumers().size());
-
-  std::unordered_set<const ir::Tensor*> live_transients;
-  live_transients.reserve(transient_.size());
-  for (const auto& [t, v] : transient_) live_transients.insert(t);
-  std::unordered_set<const ir::Tensor*> new_persistents;
-
-  auto release = [&](const ir::Tensor* t) {
-    if (t->is_persistent() || retained_.contains(t)) return;
-    if (pending.at(t) != 0) return;
-    if (live_transients.erase(t) != 0) live -= tensor_bytes(t);
-  };
-
-  for (const ir::Op* op : dag_.order) {
-    for (const ir::Tensor* out : op->outputs()) {
-      if (out->is_persistent()) {
-        if (!persistent_.contains(out) && new_persistents.insert(out).second)
-          live += tensor_bytes(out);
-      } else if (live_transients.insert(out).second) {
-        live += tensor_bytes(out);
-      }
-    }
-    peak = std::max(peak, live);
-    for (const ir::Tensor* in : op->inputs()) {
-      --pending.at(in);
-      release(in);
-    }
-    for (const ir::Tensor* out : op->outputs()) release(out);
-  }
-  return peak;
-}
-
-Executor::ResolvedOp Executor::resolve(std::size_t i) {
-  const ir::Op& op = *dag_.order[i];
-  ResolvedOp r;
-  r.op = &op;
-  if (op.type() == ir::OpType::kFusedPointwise) r.fused = &fused_kernels_[i];
-  r.out.reserve(op.outputs().size());
-  for (const ir::Tensor* t : op.outputs()) {
-    DenseTensor* out = &materialize(t);
-    r.out.push_back(out);
-    if (plan_active_) {
-      const PlannedTensor* pt = plan_.find(t);
-      if (pt != nullptr && pt->alias_root == nullptr) r.zero_first.push_back(out);
-    }
-  }
-  r.in.reserve(op.inputs().size());
-  for (const ir::Tensor* t : op.inputs()) r.in.push_back(&storage(t));
-  return r;
-}
-
 ProfileReport Executor::run_step() {
-  if (options_.memory_plan && plan_dirty_) build_plan();
+  if (plan_dirty_) build_plan();
   prepare_step();
-  if (options_.schedule == Schedule::kSequential || dag_.order.empty())
-    return run_step_sequential();
-  return run_step_wavefront();
+  ProfileReport report = options_.schedule == Schedule::kSequential || dag_.order.empty()
+                             ? run_step_sequential()
+                             : run_step_wavefront();
+  poison_slab();
+  return report;
 }
 
 ProfileReport Executor::run_step_sequential() {
   const std::size_t n = dag_.order.size();
   std::vector<OpSlot> slots(n);
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending[t.get()] = t->consumers().size();
-
   const auto step_start = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
-    const ir::Op* op = dag_.order[i];
-    const ResolvedOp r = resolve(i);
     OpSlot& slot = slots[i];
     const auto t0 = Clock::now();
-    execute_resolved(r, slot.stats);
+    execute_resolved(resolved_[i], slot.stats);
     const auto t1 = Clock::now();
     slot.start_seconds = seconds_between(step_start, t0);
     slot.end_seconds = seconds_between(step_start, t1);
     slot.worker = -1;
-    if (options_.on_op_retired) options_.on_op_retired(*op, i);
-
-    for (const ir::Tensor* in : op->inputs()) {
-      --pending.at(in);
-      free_if_dead(in, pending);
-    }
-    for (const ir::Tensor* out : op->outputs()) free_if_dead(out, pending);
+    if (options_.on_op_retired) options_.on_op_retired(*dag_.order[i], i);
   }
   return fold_report(slots, seconds_between(step_start, Clock::now()));
 }
@@ -395,25 +291,10 @@ ProfileReport Executor::run_step_sequential() {
 ProfileReport Executor::run_step_wavefront() {
   const std::size_t n = dag_.order.size();
   std::vector<OpSlot> slots(n);
-  std::vector<ResolvedOp> resolved(n);
-  // Under an active plan the DAG carries the reuse edges, so slab regions
-  // are never written while their previous occupant is still accessed.
-  const std::vector<std::vector<std::size_t>>& successors =
-      plan_active_ ? planned_successors_ : dag_.successors;
-  std::vector<std::size_t> preds =
-      plan_active_ ? planned_predecessor_count_ : dag_.predecessor_count;
-  std::vector<char> allocated(n, 0);
-  std::unordered_map<const ir::Tensor*, std::size_t> pending;
-  pending.reserve(graph_->tensors().size());
-  for (const auto& t : graph_->tensors()) pending[t.get()] = t->consumers().size();
+  std::vector<std::size_t> preds = planned_predecessor_count_;
 
-  // With a plan the step's transient footprint is the fixed slab: no
-  // backpressure needed (or meaningful), so the budget gate is disabled.
-  const std::size_t budget = plan_active_ ? std::numeric_limits<std::size_t>::max()
-                                          : simulated_sequential_peak();
-
-  // Scheduling state. One mutex guards the tensor maps, the arena, the
-  // countdowns, and the submit/retire counters; kernels run outside it.
+  // Scheduling state. One mutex guards the countdowns and the
+  // submit/retire counters; kernels run outside it.
   std::mutex m;
   std::condition_variable progress;
   std::size_t submitted = 0;
@@ -422,9 +303,8 @@ ProfileReport Executor::run_step_wavefront() {
 
   const auto step_start = Clock::now();
 
-  // Called with `m` held. Ops become runnable when their outputs are
-  // allocated AND their predecessor countdown reached zero; retirement
-  // frees dead tensors and releases successors.
+  // Called with `m` held. An op becomes runnable when its predecessor
+  // countdown reaches zero; retirement releases its successors.
   std::function<void(std::size_t)> submit_op = [&](std::size_t i) {
     ++submitted;
     pool_->submit([&, i] {
@@ -433,7 +313,7 @@ ProfileReport Executor::run_step_wavefront() {
       KernelStats stats;
       std::exception_ptr op_error;
       try {
-        execute_resolved(resolved[i], stats);
+        execute_resolved(resolved_[i], stats);
       } catch (...) {
         op_error = std::current_exception();
       }
@@ -458,46 +338,18 @@ ProfileReport Executor::run_step_wavefront() {
       if (op_error) {
         if (!error) error = op_error;
       } else {
-        const ir::Op* op = dag_.order[i];
-        for (const ir::Tensor* in : op->inputs()) {
-          --pending.at(in);
-          free_if_dead(in, pending);
-        }
-        for (const ir::Tensor* out : op->outputs()) free_if_dead(out, pending);
-        for (std::size_t s : successors[i])
-          if (--preds[s] == 0 && allocated[s]) submit_op(s);
+        for (std::size_t s : planned_successors_[i])
+          if (--preds[s] == 0) submit_op(s);
       }
-      progress.notify_all();
+      if (retired == submitted) progress.notify_all();
     });
   };
 
-  // Allocation frontier: outputs are materialized strictly in topological
-  // order, and each allocation waits until it fits under the sequential
-  // peak. Because every op ahead of the frontier eventually retires and
-  // frees exactly what the sequential schedule would have freed, the wait
-  // always unblocks, and the arena can never exceed `budget`.
-  for (std::size_t i = 0; i < n; ++i) {
-    const ir::Op* op = dag_.order[i];
-    std::unique_lock lock(m);
-    auto fresh_bytes = [&] {
-      std::size_t sum = 0;
-      for (const ir::Tensor* out : op->outputs())
-        if (!persistent_.contains(out) && !transient_.contains(out))
-          sum += tensor_bytes(out);
-      return sum;
-    };
-    progress.wait(lock, [&] {
-      return error || arena_.current_bytes() + fresh_bytes() <= budget;
-    });
-    if (error) break;
-    resolved[i] = resolve(i);
-    allocated[i] = 1;
-    if (preds[i] == 0) submit_op(i);
-  }
-
-  // Drain in-flight ops (all of them on success; on error, everything
-  // already submitted) before reporting or rethrowing.
+  // Drain in-flight ops before reporting or rethrowing. Nothing is in
+  // flight only when every op retired or an error stopped the releases.
   std::unique_lock lock(m);
+  for (std::size_t i = 0; i < n; ++i)
+    if (preds[i] == 0) submit_op(i);
   progress.wait(lock, [&] { return retired == submitted; });
   if (error) std::rethrow_exception(error);
   lock.unlock();
@@ -512,13 +364,11 @@ ProfileReport Executor::fold_report(const std::vector<OpSlot>& slots,
   ProfileReport report;
   report.timeline.reserve(slots.size());
   // Invert the scheduling DAG actually in force (the plan's reuse edges
-  // included when planning is active) so every event records the ops it
-  // waited on; with them the trace is replayable offline (src/whatif/).
-  const std::vector<std::vector<std::size_t>>& successors =
-      plan_active_ ? planned_successors_ : dag_.successors;
+  // included) so every event records the ops it waited on; with them the
+  // trace is replayable offline (src/whatif/).
   std::vector<std::vector<std::size_t>> predecessors(slots.size());
-  for (std::size_t i = 0; i < successors.size(); ++i)
-    for (std::size_t s : successors[i]) predecessors[s].push_back(i);
+  for (std::size_t i = 0; i < planned_successors_.size(); ++i)
+    for (std::size_t s : planned_successors_[i]) predecessors[s].push_back(i);
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const OpSlot& s = slots[i];
     const ir::Op* op = dag_.order[i];
@@ -528,14 +378,12 @@ ProfileReport Executor::fold_report(const std::vector<OpSlot>& slots,
                         s.end_seconds, s.stats.flops, s.stats.bytes};
     event.kernel_class = s.stats.kernel_class;
     event.deps = std::move(predecessors[i]);  // ascending: i filled in order
-    if (plan_active_) {
-      // Surface where the op's first planned output landed in the slab.
-      for (const ir::Tensor* out : op->outputs()) {
-        if (const PlannedTensor* pt = plan_.find(out); pt != nullptr) {
-          event.slab_offset = static_cast<std::int64_t>(pt->offset);
-          event.reuse_generation = static_cast<std::int64_t>(pt->generation);
-          break;
-        }
+    // Surface where the op's first planned output landed in the slab.
+    for (const ir::Tensor* out : op->outputs()) {
+      if (const PlannedTensor* pt = plan_->find(out); pt != nullptr) {
+        event.slab_offset = static_cast<std::int64_t>(pt->offset);
+        event.reuse_generation = static_cast<std::int64_t>(pt->generation);
+        break;
       }
     }
     report.timeline.push_back(event);
@@ -546,8 +394,9 @@ ProfileReport Executor::fold_report(const std::vector<OpSlot>& slots,
 }
 
 void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
-  // Planned slab regions start with a previous occupant's bytes; give the
-  // kernel the same zeroed output the per-op heap path would have.
+  // The output extents become addressable now, and non-aliased ones start
+  // zeroed rather than with a previous occupant's bytes.
+  for (const auto& [data, bytes] : r.extents) ASAN_UNPOISON_MEMORY_REGION(data, bytes);
   for (DenseTensor* z : r.zero_first) z->fill_zero();
 
   using ir::OpType;
@@ -593,15 +442,9 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
       break;
     case OpType::kFusedPointwise: {
       const FusedKernel& k = *r.fused;
-      if (k.compilable) {
-        fused_pointwise_simd(k.lowered, const_inputs(), k.alphas, *out[0], *pool_,
-                             stats, codegen::active_isa());
-        stats.kernel_class = "pointwise-simd";
-      } else {
-        const auto& f = static_cast<const ir::FusedPointwiseOp&>(op);
-        fused_pointwise(f.program(), const_inputs(), k.alphas, *out[0], *pool_, stats);
-        stats.kernel_class = "pointwise-interp";
-      }
+      fused_pointwise_simd(k.lowered, const_inputs(), k.alphas, *out[0], *pool_, stats,
+                           codegen::active_isa());
+      stats.kernel_class = "pointwise-simd";
       break;
     }
     case OpType::kEmbeddingLookup:

@@ -1,21 +1,29 @@
 // Graph executor: runs one training step of a bound graph numerically.
 //
-// Weights and optimizer slots persist across steps (so repeated run_step()
-// calls really train), activations are allocated and freed by liveness
-// (so the arena peak independently measures the footprint the symbolic
-// estimator predicts), and every kernel reports executed FLOPs/bytes into
-// a TFprof-style profile.
+// Weights, weight gradients and optimizer slots persist across steps (so
+// repeated run_step() calls really train). Every other tensor lives at a
+// fixed offset in one slab laid out by the static memory plan
+// (src/runtime/memplan.h): liveness over the topological schedule, the
+// analysis behind the paper's Fig 10 footprint, fixed once before the
+// first step. A steady-state step therefore performs no per-op heap
+// allocation, and the arena peak is the planned peak. Every kernel reports
+// executed FLOPs/bytes into a TFprof-style profile.
 //
-// Two schedules share the same kernels and accounting:
+// Two schedules share the same kernels, slab and accounting:
 //
 //  - kSequential: the classic one-op-at-a-time topological walk.
 //  - kWavefront (default): dependency-counted inter-op parallelism on a
-//    ThreadPool. The dispatch thread allocates op outputs in topological
-//    order, gated so live bytes never exceed the sequential schedule's
-//    peak (memory backpressure); workers execute ops whose predecessor
-//    countdown hit zero and, on retirement, free dead activations and
-//    release successors. Intra-op kernels (`parallel_for`) share the same
-//    pool without deadlock.
+//    ThreadPool. The countdown DAG is the data DAG plus the plan's reuse
+//    edges, so an op that first writes a reused slab range waits for every
+//    accessor of the range's previous occupant. Workers run ops whose
+//    countdown hit zero and, on retirement, release their successors.
+//    Intra-op kernels (`parallel_for`) share the same pool without
+//    deadlock.
+//
+// ASan builds poison the slab outside the extents of produced tensors:
+// each planned tensor is unpoisoned just before its producer runs, and
+// after the step only retained tensors stay readable. A tensor whose
+// consumers have all retired stays readable until the step ends.
 //
 // Results are bitwise-deterministic and schedule/thread-count independent:
 // every tensor is filled from its own RNG stream keyed by tensor id, each
@@ -26,6 +34,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -41,19 +51,18 @@
 
 namespace gf::rt {
 
-/// Default for ExecutorOptions::memory_plan: true when the GF_MEMORY_PLAN
-/// environment variable is set to a non-empty, non-"0" value. Lets CI run
-/// the full test suite with planning on without touching call sites.
+/// Always true: every executor runs under the static memory plan. Kept
+/// because the benchmark harness (perfbench/main.cpp) checks it; the
+/// GF_MEMORY_PLAN variable it once read no longer exists.
 bool memory_plan_env_default();
 
-/// Default for ExecutorOptions::fuse, from GF_FUSE (same convention as
-/// GF_MEMORY_PLAN): CI runs the full suite fused without touching call
-/// sites.
+/// Always true: fusion is ExecutorOptions::fuse's default. Kept because the
+/// benchmark harness (perfbench/main.cpp) checks it; the GF_FUSE variable
+/// it once read no longer exists.
 bool fuse_env_default();
 
 /// Always true: fused programs always run compiled. Kept because the
-/// benchmark harness (perfbench/main.cpp) checks it alongside the GF_FUSE
-/// and GF_MEMORY_PLAN defaults.
+/// benchmark harness (perfbench/main.cpp) checks it.
 bool simd_env_default();
 
 /// Inter-op scheduling policy for run_step().
@@ -76,20 +85,14 @@ struct ExecutorOptions {
   /// Off by default — verification is O(graph) per Executor, and built-in
   /// models are already linted in CI.
   bool verify = false;
-  /// Static memory planning: place every non-persistent tensor at a fixed
-  /// offset in one slab (see src/runtime/memplan.h), so a step performs
-  /// zero per-op heap allocations and the arena peak equals the planned
-  /// peak exactly. Default follows GF_MEMORY_PLAN (off otherwise): per-op
-  /// heap allocation stays the default so sanitizer CI keeps byte-accurate
-  /// bounds checking on every tensor.
-  bool memory_plan = memory_plan_env_default();
   /// Graph-level op fusion (src/ir/fusion.h): the executor clones the
   /// graph (original tensor ids preserved, so RNG streams — and therefore
   /// all results — stay bitwise-identical), rewrites the clone, and runs
   /// that. Public APIs keep accepting original-graph tensors; asking for a
-  /// fused-away intermediate throws std::invalid_argument. Default follows
-  /// GF_FUSE (off otherwise), mirroring memory_plan.
-  bool fuse = fuse_env_default();
+  /// fused-away intermediate throws std::invalid_argument. False runs the
+  /// caller's graph as built: the what-if workflow profiles that unfused
+  /// step to predict what fusion buys.
+  bool fuse = true;
   /// Completion hook: called once per executed op, after its kernel
   /// finished writing the op's outputs, from the thread that ran the
   /// kernel (a pool worker under kWavefront, the caller under
@@ -124,16 +127,17 @@ class Executor {
   /// each step from the deterministic per-tensor stream).
   void set_input(const ir::Tensor* tensor, DenseTensor value);
 
-  /// Keeps the named activation's value available after run_step(). Under
-  /// fusion the tensor must have survived the rewrite (fused-away
-  /// intermediates throw std::invalid_argument).
+  /// Keeps the named activation's value available after run_step(), from
+  /// the next step on. Under fusion the tensor must have survived the
+  /// rewrite (fused-away intermediates throw std::invalid_argument).
   void retain(const ir::Tensor* tensor);
 
-  /// The active memory plan, or nullptr when planning is off. Built lazily
-  /// on the first run_step() after construction / retain() / new pins.
-  const MemoryPlan* memory_plan() const { return plan_active_ ? &plan_ : nullptr; }
+  /// The memory plan the last step ran under, or nullptr before the first
+  /// step. Rebuilt on the first run_step() after retain() / new pins.
+  const MemoryPlan* memory_plan() const { return plan_ ? &*plan_ : nullptr; }
 
-  /// Mutable access to persistent state (weights / optimizer slots).
+  /// Mutable access to persistent state (weights, weight gradients,
+  /// optimizer slots).
   DenseTensor& weight_value(const ir::Tensor* tensor);
 
   /// Value of a retained or persistent tensor after the last step.
@@ -162,32 +166,31 @@ class Executor {
 
  private:
   /// A FusedPointwiseOp compiled when the executor is built: the program
-  /// lowered once (src/runtime/codegen/lowering.h), its kScale alphas
-  /// evaluated under the executor's bindings and narrowed to float, and
-  /// whether the vector executor can run it (codegen::compilable). Steps
-  /// run `lowered` on codegen::active_isa(), or the interpreter when it is
-  /// not compilable; either way each timeline event records which class
-  /// ran ("pointwise-simd" / "pointwise-interp").
+  /// lowered once (src/runtime/codegen/lowering.h) and its kScale alphas
+  /// evaluated under the executor's bindings and narrowed to float. Steps
+  /// run `lowered` on codegen::active_isa(). FusedPointwiseOp caps its
+  /// inputs at codegen's load slots, so every program compiles.
   struct FusedKernel {
     codegen::LoweredProgram lowered;
     std::vector<float> alphas;
-    bool compilable = false;
   };
-  /// Kernel I/O resolved to stable buffer pointers at dispatch time, so
-  /// workers never touch the tensor maps concurrently.
+  /// Kernel I/O resolved to stable buffer pointers once per plan, so
+  /// workers never touch the tensor maps.
   struct ResolvedOp {
     const ir::Op* op = nullptr;
     /// The op's entry in fused_kernels_ (FusedPointwise ops only).
     const FusedKernel* fused = nullptr;
     std::vector<DenseTensor*> in;
     std::vector<DenseTensor*> out;
+    /// Exact slab extents of the op's planned outputs, unpoisoned in ASan
+    /// builds immediately before the kernel runs.
+    std::vector<std::pair<void*, std::size_t>> extents;
     /// Planned, non-aliased outputs to zero-fill immediately before the
-    /// kernel runs: slab regions hold a previous occupant's bytes, while
-    /// the heap path hands every op a fresh zeroed buffer (scatter kernels
-    /// like pool_grad/embedding_grad rely on that). Zeroing happens at
-    /// execution (not dispatch) time so it is ordered after the previous
-    /// occupant's last access by the plan's reuse edges. Aliased outputs
-    /// are never zeroed — their storage IS the op's live input.
+    /// kernel runs: slab regions hold a previous occupant's bytes, and
+    /// scatter kernels like pool_grad/embedding_grad expect a zeroed
+    /// output. Zeroing happens at execution time, so the plan's reuse
+    /// edges order it after the previous occupant's last access. Aliased
+    /// outputs are never zeroed — their storage IS the op's live input.
     std::vector<DenseTensor*> zero_first;
   };
   /// Per-op result slot; each op writes only its own (disjoint) slot, and
@@ -204,27 +207,18 @@ class Executor {
   /// graph's. Identity when fusion is off; throws std::invalid_argument
   /// for tensors the rewrite eliminated.
   const ir::Tensor* map_tensor(const ir::Tensor* tensor) const;
-  DenseTensor& materialize(const ir::Tensor* tensor);
   void random_fill(const ir::Tensor* tensor, DenseTensor& value);
   DenseTensor& storage(const ir::Tensor* tensor);
-  std::size_t tensor_bytes(const ir::Tensor* tensor) const;
 
-  /// Drops stale transients, materializes producerless tensors (inputs,
-  /// gradient seeds) — the common step prologue for both schedules.
+  /// Fills producerless tensors (inputs, gradient seeds) — the common step
+  /// prologue for both schedules.
   void prepare_step();
-  /// Frees `tensor` if it is transient, unpinned, unretained, and its
-  /// pending-consumer count reached zero.
-  void free_if_dead(const ir::Tensor* tensor,
-                    const std::unordered_map<const ir::Tensor*, std::size_t>& pending);
-  /// Resolves dag_.order[i].
-  ResolvedOp resolve(std::size_t i);
   void execute_resolved(const ResolvedOp& r, KernelStats& stats);
-  /// (Re)builds the memory plan, the slab, and the reuse-edge-augmented
-  /// scheduling DAG. Any existing slab views are dropped first.
+  /// (Re)builds the memory plan, the slab with one view per planned
+  /// tensor, the reuse-edge-augmented scheduling DAG and resolved_.
   void build_plan();
-  /// Sequential arena trajectory from the current step-start state; its
-  /// peak is the wavefront scheduler's allocation budget.
-  std::size_t simulated_sequential_peak() const;
+  /// Poisons the slab (ASan builds) except the retained tensors' extents.
+  void poison_slab();
 
   ProfileReport run_step_sequential();
   ProfileReport run_step_wavefront();
@@ -247,19 +241,22 @@ class Executor {
   std::unordered_map<const ir::Tensor*, std::vector<std::int64_t>> shapes_;
   std::unordered_map<const ir::Tensor*, DenseTensor> persistent_;
   std::unordered_map<const ir::Tensor*, DenseTensor> pinned_inputs_;
+  /// One slab view per planned tensor, rebuilt with the plan.
   std::unordered_map<const ir::Tensor*, DenseTensor> transient_;
   std::unordered_set<const ir::Tensor*> retained_;
   ArenaAccounting arena_;
 
-  // Memory-plan state (unused when options_.memory_plan is false).
-  MemoryPlan plan_;
-  bool plan_active_ = false;
+  // Memory-plan state, built on the first step and after retain() / new
+  // pins mark it dirty.
+  std::optional<MemoryPlan> plan_;
   bool plan_dirty_ = true;
   AlignedVector<unsigned char> slab_;
-  /// Scheduler DAG augmented with the plan's reuse edges; the wavefront
-  /// schedule uses these instead of dag_'s when the plan is active.
+  /// Scheduler DAG augmented with the plan's reuse edges; both schedules
+  /// and the exported timeline deps use it.
   std::vector<std::vector<std::size_t>> planned_successors_;
   std::vector<std::size_t> planned_predecessor_count_;
+  /// Indexed like dag_.order.
+  std::vector<ResolvedOp> resolved_;
 };
 
 }  // namespace gf::rt

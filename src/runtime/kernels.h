@@ -32,9 +32,8 @@ namespace gf::rt {
 struct KernelStats {
   double flops = 0;
   double bytes = 0;
-  /// Which implementation class served this op, when more than one exists
-  /// ("pointwise-simd", or "pointwise-interp" for a fused program too wide
-  /// to compile); points at a string literal. Flows into
+  /// Which implementation class served this op ("pointwise-simd" for a
+  /// compiled fused program); points at a string literal. Flows into
   /// TimelineEvent::kernel_class so what-if scaling can target an
   /// implementation rather than an op type. Empty for single-implementation
   /// ops.
@@ -87,8 +86,7 @@ void bias_add(const DenseTensor& in, const DenseTensor& bias, DenseTensor& out,
 /// (kAddN keeps the double accumulator), so fused output bits equal the
 /// unfused op chain's. `alphas` holds the pre-evaluated kScale multiplier
 /// per instruction, narrowed to float (ignored for other fns; size must
-/// match the program). The oracle for fused_pointwise_simd, and the
-/// executor's kernel for programs codegen::compilable rejects.
+/// match the program). The test oracle for fused_pointwise_simd.
 void fused_pointwise(const std::vector<ir::FusedInstr>& program,
                      const std::vector<const DenseTensor*>& inputs,
                      const std::vector<float>& alphas, DenseTensor& out,
@@ -98,8 +96,8 @@ void fused_pointwise(const std::vector<ir::FusedInstr>& program,
 /// codegen::lower_program on the straight-line vectorized executor for
 /// `isa` (resolved to a supported ISA first). `alphas` is indexed by
 /// source-program instruction, as for the interpreter. Throws
-/// std::invalid_argument when the program is not codegen::compilable —
-/// callers run the interpreter above for those. Numerics per dispatch.h:
+/// std::invalid_argument when the program is not codegen::compilable,
+/// which no constructed FusedPointwiseOp's program is. Numerics per dispatch.h:
 /// bitwise equal to the interpreter except epsilon-bounded kSigmoid/kTanh.
 /// Stats are charged identically to the interpreter (from the source
 /// program's FLOPs per element, which lowering records).

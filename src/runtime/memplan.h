@@ -66,9 +66,9 @@ struct PlannedTensor {
 struct MemoryPlan {
   /// Total slab size; the executor allocates exactly this once.
   std::size_t slab_bytes = 0;
-  /// Sum of aligned sizes over all planned tensors — what per-op heap
-  /// allocation would have requested in total. reuse_fraction() compares
-  /// the slab against this.
+  /// Sum of aligned sizes over all planned tensors — the slab a plan with
+  /// no reuse and no aliasing would need. reuse_fraction() compares the
+  /// slab against this.
   std::size_t gross_bytes = 0;
   /// Max over topological steps of the aligned bytes live at that step —
   /// the lower bound any packing can reach; slab_bytes exceeds it only by

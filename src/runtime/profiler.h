@@ -40,12 +40,10 @@ struct TimelineEvent {
   double end_seconds = 0;
   double flops = 0;
   double bytes = 0;
-  /// Implementation class that served the op when the runtime has more than
-  /// one ("pointwise-simd" / "pointwise-interp"); empty for ops with a
-  /// single implementation. Exported as an optional trace arg; what-if
-  /// scaling (whatif::scale_kernel_class) can target it instead of an op
-  /// type, which is how `gfctl whatif` predicts the compiled-kernel payoff
-  /// from an interpreter-path profile.
+  /// Implementation class that served the op ("pointwise-simd" for a
+  /// compiled fused program); empty for ops with a single implementation.
+  /// Exported as an optional trace arg; what-if scaling
+  /// (whatif::scale_kernel_class) can target it instead of an op type.
   std::string kernel_class;
   /// Chrome-trace category override for events that are not graph ops —
   /// the data-parallel runner's ring-allreduce phases use "comm". Empty

@@ -113,8 +113,7 @@ void simulate_recorded(const Trace& trace, const std::vector<double>& durations,
 
 /// List scheduling onto `workers` identical lanes: whenever a lane is
 /// free, the ready op with the lowest index starts on the lowest-numbered
-/// free lane — the wavefront executor's dispatch policy without memory
-/// backpressure.
+/// free lane — the wavefront executor's dispatch policy.
 void simulate_greedy(const Trace& trace, const std::vector<double>& durations,
                      int workers, ResimResult& result) {
   const std::size_t n = trace.ops.size();

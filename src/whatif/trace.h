@@ -38,8 +38,8 @@ struct TraceOp {
   double bytes = 0;
   /// Scheduling predecessors (op_index values, ascending, each < own index).
   std::vector<std::size_t> deps;
-  /// Implementation class that served the op ("pointwise-simd",
-  /// "pointwise-interp"); empty when the runtime recorded none. Optional in
+  /// Implementation class that served the op (e.g. "pointwise-simd");
+  /// empty when the runtime recorded none. Optional in
   /// the JSON form — traces written before the tag default to empty. Last
   /// field so pre-existing aggregate initializers keep their meaning.
   std::string kernel_class;

@@ -42,7 +42,7 @@ namespace gf::whatif {
 /// "Kernel class c runs speedup× faster" (speedup < 1 models a slowdown).
 struct ScaleClass {
   /// ir::op_type_name spelling, a runtime implementation class recorded in
-  /// TraceOp::kernel_class ("pointwise-interp", "pointwise-simd"), or "*"
+  /// TraceOp::kernel_class (e.g. "pointwise-simd"), or "*"
   /// for all ops. Implementation classes let the simulator price one
   /// kernel where an op-type match would also rescale ops of that type
   /// that another implementation served.

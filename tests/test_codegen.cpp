@@ -425,7 +425,8 @@ TEST(CompiledPointwise, ThreadCountInvariantWithinEachIsa) {
 }
 
 /// One kAddN over more external inputs than the vector executor has load
-/// slots (codegen's kMaxLoadSlots is 96).
+/// slots (FusedPointwiseOp::kMaxInputs, 96). No FusedPointwiseOp can carry
+/// it; only a hand-lowered program reaches codegen this wide.
 constexpr std::size_t kWideInputs = 100;
 
 std::vector<FusedInstr> wide_add_program() {
@@ -435,7 +436,7 @@ std::vector<FusedInstr> wide_add_program() {
 }
 
 TEST(CompiledPointwise, RefusesOversizedLoadSets) {
-  // The compiled path must decline, leaving the interpreter to serve it.
+  // run_lowered guards its fixed-size load-slot array.
   const std::vector<FusedInstr> program = wide_add_program();
   const auto low = rt::codegen::lower_program(program, kWideInputs);
   EXPECT_FALSE(rt::codegen::compilable(low));
@@ -502,37 +503,6 @@ TEST(SimdExecutor, TimelineTagsKernelClassByServingPath) {
       EXPECT_EQ(op.kernel_class, "pointwise-simd") << c.name << " " << op.name;
     }
     EXPECT_GT(fused_ops, 0u) << c.name;
-  }
-}
-
-TEST(SimdExecutor, InterpreterServesProgramsWiderThanLoadSlots) {
-  // A hand-built graph whose one op is the wide kAddN: the executor must
-  // fall back to the interpreter, match it bit for bit, and produce the
-  // same bits at every thread count (n spans several parallel blocks).
-  const std::int64_t n = 3 * 4096 + 5;
-  const std::vector<FusedInstr> program = wide_add_program();
-  const FusedCase c(std::vector<std::int64_t>(kWideInputs, n), program);
-  const std::vector<float> want = run_interp(program, c, n, 1);
-
-  ir::Graph g{"wide_add"};
-  std::vector<ir::Tensor*> xs;
-  for (std::size_t i = 0; i < kWideInputs; ++i)
-    xs.push_back(g.add_input("x" + std::to_string(i), {sym::Expr(n)}));
-  const auto* sum = g.add_op<ir::FusedPointwiseOp>("sum", xs, program,
-                                                   ir::TensorShape{sym::Expr(n)});
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    conc::ThreadPool pool(threads);
-    rt::ExecutorOptions opt;
-    opt.pool = &pool;
-    rt::Executor ex(g, sym::Bindings{}, opt);
-    for (std::size_t i = 0; i < kWideInputs; ++i) ex.set_input(xs[i], c.storage[i]);
-    ex.retain(sum->output(0));
-    const rt::ProfileReport report = ex.run_step();
-    const rt::DenseTensor& out = ex.value(sum->output(0));
-    EXPECT_TRUE(bitwise_equal({out.fdata(), out.fdata() + n}, want))
-        << "threads=" << threads;
-    ASSERT_EQ(report.timeline.size(), 1u);
-    EXPECT_EQ(report.timeline[0].kernel_class, "pointwise-interp");
   }
 }
 

@@ -314,6 +314,49 @@ TEST(Fusion, PointwiseArityIsValidatedAtConstruction) {
   EXPECT_THROW(ir::pointwise_fn_flops_per_element(PointwiseFn::kMul, 3),
                std::invalid_argument);
   EXPECT_NO_THROW(ir::pointwise(g, "addn", PointwiseFn::kAddN, {x, y}));
+
+  // A fused op reads at most kMaxInputs externals (codegen's load slots).
+  const std::size_t cap = ir::FusedPointwiseOp::kMaxInputs;
+  Graph wide("wide");
+  std::vector<Tensor*> xs;
+  for (std::size_t i = 0; i <= cap; ++i)
+    xs.push_back(wide.add_input("x" + std::to_string(i), {Expr(4)}));
+  const auto add_all = [](std::size_t n) {
+    std::vector<int> args(n);
+    for (std::size_t i = 0; i < n; ++i) args[i] = static_cast<int>(i);
+    return std::vector<ir::FusedInstr>{{PointwiseFn::kAddN, args}};
+  };
+  EXPECT_THROW(wide.add_op<ir::FusedPointwiseOp>("over", xs, add_all(cap + 1),
+                                                 ir::TensorShape{Expr(4)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(wide.add_op<ir::FusedPointwiseOp>(
+      "at_cap", std::vector<Tensor*>(xs.begin(), xs.end() - 1), add_all(cap),
+      ir::TensorShape{Expr(4)}));
+
+  // A serialized graph cannot smuggle a wider op past the constructor: add
+  // the last input to the at-cap op's inputs and program.
+  std::string ids;
+  for (std::size_t i = 0; i < cap; ++i) ids += (i == 0 ? "" : " ") + std::to_string(i);
+  const std::string extra = " " + std::to_string(cap) + "\n";
+  std::string text = ir::serialize(wide);
+  for (const std::string& line : {"\nin " + ids + "\n", "\nattr i0 add_n " + ids + "\n"}) {
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line.substr(0, 16);
+    text.replace(at + line.size() - 1, 1, extra);
+  }
+  EXPECT_THROW(ir::deserialize(text), std::invalid_argument);
+}
+
+TEST(Fusion, FormsNoGroupWiderThanTheInputCap) {
+  // One add_n over 100 inputs, more than a fused op may read, feeding a
+  // tanh: the two-op group is rejected whole, so nothing fuses.
+  Graph g("wide_add");
+  std::vector<Tensor*> xs;
+  for (std::size_t i = 0; i < 100; ++i)
+    xs.push_back(g.add_input("x" + std::to_string(i), {Expr(4)}));
+  ir::tanh(g, "t", ir::pointwise(g, "sum", PointwiseFn::kAddN, xs));
+  EXPECT_EQ(ir::fuse_graph(g).pointwise_groups, 0u);
+  for (const auto& op : g.ops()) EXPECT_NE(op->type(), OpType::kFusedPointwise);
 }
 
 // --- cost transparency on every built-in model ------------------------------

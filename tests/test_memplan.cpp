@@ -1,10 +1,13 @@
 // Static memory planner tests: plan structure (alignment, disjointness,
 // determinism, aliasing), the verify-pass cross-check including negative
 // cases with hand-broken plans, arena accounting hardening, and end-to-end
-// parity — measured arena peak == planned peak == Fig 10 footprint (within
-// alignment padding) on every built-in model, with bitwise-identical
-// results plan-on vs plan-off across thread counts.
+// parity — measured arena peak == planned peak == Fig 10 footprint (exactly
+// without padding and aliasing, within alignment padding otherwise) on
+// every built-in model, bitwise-identical results against an executor
+// whose plan shares no storage, across thread counts, and ASan poisoning
+// of the slab outside retained extents.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <cmath>
 #include <cstring>
@@ -12,8 +15,10 @@
 
 #include "src/concurrency/thread_pool.h"
 #include "src/ir/footprint.h"
+#include "src/ir/fusion.h"
 #include "src/ir/gradients.h"
 #include "src/ir/ops.h"
+#include "src/ir/serialize.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
 #include "src/verify/pass.h"
@@ -232,15 +237,39 @@ TEST(MemPlan, VerifyPassCatchesBackwardReuseEdge) {
 
 // --- end-to-end parity (satellite) ----------------------------------------
 
+TEST(MemPlan, UnpaddedUnaliasedLivenessEqualsTopologicalFootprint) {
+  // Without alignment padding and in-place aliasing, the plan's liveness
+  // peak is exactly the Fig 10 estimator's transient peak: both sweep the
+  // same topological schedule. With the measured peak == planned peak
+  // check below, this keeps "symbolic = executed" exact for the footprint.
+  MemPlanOptions opt;
+  opt.alignment = 4;
+  opt.enable_aliasing = false;
+  for (ModelCase& c : builtin_models()) {
+    for (const bool fuse : {false, true}) {
+      auto graph = ir::clone_graph(*c.spec.graph);
+      if (fuse) ir::fuse_graph(*graph);
+      const ir::OpDag dag = ir::build_op_dag(*graph);
+      for (const double batch : {2.0, 4.0}) {
+        const Bindings bind = c.spec.bind(c.hidden, batch);
+        const MemoryPlan plan = plan_memory(*graph, dag, bind, opt);
+        const auto fp = ir::minimal_footprint(*graph, bind);
+        EXPECT_EQ(static_cast<double>(plan.liveness_peak_bytes), fp.peak_transient_bytes)
+            << c.name << " fuse=" << fuse << " b=" << batch;
+        EXPECT_EQ(static_cast<double>(plan.persistent_bytes), fp.persistent_bytes)
+            << c.name << " fuse=" << fuse << " b=" << batch;
+      }
+    }
+  }
+}
+
 TEST(MemPlan, MeasuredPeakEqualsPlannedPeakEqualsFootprintOnAllModels) {
   for (ModelCase& c : builtin_models()) {
     for (const double batch : {2.0, 4.0}) {
       const Bindings bind = c.spec.bind(c.hidden, batch);
-      ExecutorOptions opt;
-      opt.memory_plan = true;
-      Executor ex(*c.spec.graph, bind, opt);
-      // Plan the graph the executor actually runs (the fused clone under
-      // GF_FUSE=1) so all three peaks below are comparable.
+      Executor ex(*c.spec.graph, bind);
+      // Plan the graph the executor actually runs (the fused clone by
+      // default) so all three peaks below are comparable.
       const ir::Graph& xg = ex.executing_graph();
       const ir::OpDag dag = ir::build_op_dag(xg);
       const MemoryPlan plan = plan_memory(xg, dag, bind);
@@ -255,7 +284,7 @@ TEST(MemPlan, MeasuredPeakEqualsPlannedPeakEqualsFootprintOnAllModels) {
                     static_cast<double>(kTensorAlignment * plan.tensors.size()))
           << c.name << " b=" << batch;
 
-      ex.run_step();  // weight-gradient steady state
+      ex.run_step();  // warm-up: memory plan and kernel scratch
       const ProfileReport report = ex.run_step();
       ASSERT_NE(ex.memory_plan(), nullptr) << c.name;
       EXPECT_EQ(report.peak_allocated_bytes, ex.memory_plan()->planned_peak_bytes())
@@ -266,31 +295,47 @@ TEST(MemPlan, MeasuredPeakEqualsPlannedPeakEqualsFootprintOnAllModels) {
   }
 }
 
+/// Retains every tensor of `graph`: every live interval then extends to
+/// the step's end, so the executor's plan shares no storage (no reuse
+/// edges, no aliases). Run unfused, that executor is the reference for
+/// "slab reuse does not change bits".
+void retain_everything(Executor& ex, const Graph& graph) {
+  for (const auto& t : graph.tensors()) ex.retain(t.get());
+}
+
 std::uint32_t loss_bits_after_steps(const models::ModelSpec& spec, double hidden,
-                                    bool plan, std::size_t threads, int steps) {
+                                    bool share_nothing, std::size_t threads, int steps) {
   conc::ThreadPool pool(threads);
   ExecutorOptions opt;
   opt.pool = &pool;
-  opt.memory_plan = plan;
+  opt.fuse = false;
   Executor ex(*spec.graph, spec.bind(hidden, 2), opt);
   ex.retain(spec.loss);
+  if (share_nothing) retain_everything(ex, *spec.graph);
   for (int i = 0; i < steps; ++i) ex.run_step();
+  if (share_nothing) {
+    const MemoryPlan* plan = ex.memory_plan();
+    EXPECT_TRUE(plan->reuse_edges.empty());
+    EXPECT_EQ(plan->alias_count, 0u);
+    EXPECT_EQ(plan->slab_bytes, plan->gross_bytes);
+  }
   std::uint32_t bits = 0;
   std::memcpy(&bits, ex.value(spec.loss).fdata(), sizeof(float));
   return bits;
 }
 
-TEST(MemPlan, BitwiseIdenticalToHeapPathAcrossThreadCounts) {
+TEST(MemPlan, BitwiseIdenticalToShareNothingPlanAcrossThreadCounts) {
   // Slab reuse, in-place aliasing, and reuse-edge scheduling must not
   // change a single bit of the computation: compare the loss after several
-  // training steps against the per-op heap path at 1, 2, and 8 threads.
-  // word_lm covers the GEMM/LSTM path, resnet the conv + scatter kernels.
+  // training steps against an executor whose plan shares no storage, at 1,
+  // 2, and 8 threads. word_lm covers the GEMM/LSTM path, resnet the conv +
+  // scatter kernels.
   for (ModelCase& c : builtin_models()) {
     if (std::string(c.name) != "word_lm" && std::string(c.name) != "resnet") continue;
     const std::uint32_t reference =
-        loss_bits_after_steps(c.spec, c.hidden, /*plan=*/false, 2, 3);
+        loss_bits_after_steps(c.spec, c.hidden, /*share_nothing=*/true, 2, 3);
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(loss_bits_after_steps(c.spec, c.hidden, /*plan=*/true, threads, 3),
+      EXPECT_EQ(loss_bits_after_steps(c.spec, c.hidden, /*share_nothing=*/false, threads, 3),
                 reference)
           << c.name << " threads=" << threads;
     }
@@ -299,9 +344,7 @@ TEST(MemPlan, BitwiseIdenticalToHeapPathAcrossThreadCounts) {
 
 TEST(MemPlan, SteadyStateStepPerformsNoHeapAllocations) {
   TinyMlp m;
-  ExecutorOptions opt;
-  opt.memory_plan = true;
-  Executor ex(m.g, Bindings{{"batch", 16}}, opt);
+  Executor ex(m.g, Bindings{{"batch", 16}});
   for (int i = 0; i < 3; ++i) ex.run_step();  // slab + grads + scratch warm
   // Min over a few steps: per-thread kernel scratch grows monotonically
   // and may still warm up on whichever pool thread ran cold so far.
@@ -316,9 +359,7 @@ TEST(MemPlan, SteadyStateStepPerformsNoHeapAllocations) {
 
 TEST(MemPlan, PinnedInputsStayOutOfSlabAndRetainedValuesSurvive) {
   TinyMlp m;
-  ExecutorOptions opt;
-  opt.memory_plan = true;
-  Executor ex(m.g, Bindings{{"batch", 4}}, opt);
+  Executor ex(m.g, Bindings{{"batch", 4}});
   ex.retain(m.loss);
   const Tensor* x = m.g.inputs()[0];
   DenseTensor zeros({4, 6}, ir::DataType::kFloat32);
@@ -326,8 +367,8 @@ TEST(MemPlan, PinnedInputsStayOutOfSlabAndRetainedValuesSurvive) {
   ex.run_step();
   ASSERT_NE(ex.memory_plan(), nullptr);
   // The user owns pinned storage; the plan must leave it out of the slab.
-  // Plan entries key the executing graph's tensors (the fused clone's
-  // under GF_FUSE=1), so caller-facing tensors go through resolve().
+  // Plan entries key the executing graph's tensors (the fused clone's by
+  // default), so caller-facing tensors go through resolve().
   EXPECT_EQ(ex.memory_plan()->find(ex.resolve(x)), nullptr);
   EXPECT_NE(ex.memory_plan()->find(ex.resolve(m.loss)), nullptr);
 
@@ -336,14 +377,50 @@ TEST(MemPlan, PinnedInputsStayOutOfSlabAndRetainedValuesSurvive) {
   const float l1 = ex.value(m.loss).f(0);
   EXPECT_TRUE(std::isfinite(l1));
 
-  ExecutorOptions heap_opt;
-  heap_opt.memory_plan = false;
-  Executor heap_ex(m.g, Bindings{{"batch", 4}}, heap_opt);
-  heap_ex.retain(m.loss);
+  ExecutorOptions unshared_opt;
+  unshared_opt.fuse = false;
+  Executor unshared(m.g, Bindings{{"batch", 4}}, unshared_opt);
+  retain_everything(unshared, m.g);
   DenseTensor zeros2({4, 6}, ir::DataType::kFloat32);
-  heap_ex.set_input(x, std::move(zeros2));
-  heap_ex.run_step();
-  EXPECT_EQ(ex.value(m.loss).f(0), heap_ex.value(m.loss).f(0));
+  unshared.set_input(x, std::move(zeros2));
+  unshared.run_step();
+  EXPECT_EQ(ex.value(m.loss).f(0), unshared.value(m.loss).f(0));
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define GF_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GF_TEST_ASAN 1
+#endif
+#endif
+
+TEST(MemPlan, AsanPoisonsSlabOutsideRetainedExtents) {
+#ifndef GF_TEST_ASAN
+  GTEST_SKIP() << "slab poisoning is compiled in only under AddressSanitizer";
+#else
+  TinyMlp m;
+  Executor ex(m.g, Bindings{{"batch", 4}});
+  ex.retain(m.loss);
+  ex.run_step();
+  const MemoryPlan& plan = *ex.memory_plan();
+  const PlannedTensor& loss = *plan.find(ex.resolve(m.loss));
+  const auto* loss_data = reinterpret_cast<const char*>(ex.value(m.loss).fdata());
+  const char* slab = loss_data - loss.offset;
+
+  for (std::size_t b = 0; b < loss.bytes; ++b)
+    EXPECT_FALSE(__asan_address_is_poisoned(loss_data + b)) << "loss byte " << b;
+  // Alignment padding after the loss stays poisoned.
+  EXPECT_TRUE(__asan_address_is_poisoned(loss_data + loss.bytes));
+  // So does every planned tensor that was not retained, once the step
+  // ended; pick one whose range does not overlap the loss's.
+  const PlannedTensor* other = nullptr;
+  for (const PlannedTensor& pt : plan.tensors)
+    if (pt.offset >= loss.offset + loss.aligned_bytes || pt.offset + pt.bytes <= loss.offset)
+      other = &pt;
+  ASSERT_NE(other, nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(slab + other->offset)) << other->tensor->name();
+#endif
 }
 
 }  // namespace

@@ -107,17 +107,13 @@ TEST(TransformerLm, ToyInstanceExecutesAndMatchesSymbolic) {
   const auto report = ex.run_step();
   const double sym_flops = spec.graph->total_flops().eval(bind);
   EXPECT_NEAR(report.total_flops, sym_flops, 1e-6 * sym_flops);
+  // Peak equals the plan, slab within alignment padding of the analytic
+  // sequential footprint.
   const auto fp = ir::minimal_footprint(*spec.graph, bind);
-  if (const rt::MemoryPlan* plan = ex.memory_plan()) {
-    // Planned mode (GF_MEMORY_PLAN=1): peak equals the plan, slab within
-    // alignment padding of the analytic sequential footprint.
-    EXPECT_EQ(report.peak_allocated_bytes, plan->planned_peak_bytes());
-    EXPECT_LE(static_cast<double>(plan->planned_peak_bytes()),
-              fp.total_bytes +
-                  static_cast<double>(rt::kTensorAlignment * plan->tensors.size()));
-  } else {
-    EXPECT_DOUBLE_EQ(static_cast<double>(report.peak_allocated_bytes), fp.total_bytes);
-  }
+  const rt::MemoryPlan& plan = *ex.memory_plan();
+  EXPECT_EQ(report.peak_allocated_bytes, plan.planned_peak_bytes());
+  EXPECT_LE(static_cast<double>(plan.planned_peak_bytes()),
+            fp.total_bytes + static_cast<double>(rt::kTensorAlignment * plan.tensors.size()));
 }
 
 TEST(TransformerLm, ToyInstanceTrains) {

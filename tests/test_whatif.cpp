@@ -89,9 +89,7 @@ std::vector<ModelCase> builtin_models() {
   return cases;
 }
 
-/// Profiles one steady-state step. Fusion and planning are pinned OFF
-/// explicitly (CI reruns the suite with GF_FUSE / GF_MEMORY_PLAN set, which
-/// would otherwise flip the ExecutorOptions defaults under this test).
+/// Profiles one steady-state unfused step.
 rt::ProfileReport profile_step(const ir::Graph& graph, const sym::Bindings& bind,
                                conc::ThreadPool* pool = nullptr,
                                rt::Schedule schedule = rt::Schedule::kSequential) {
@@ -99,9 +97,8 @@ rt::ProfileReport profile_step(const ir::Graph& graph, const sym::Bindings& bind
   opt.pool = pool;
   opt.schedule = schedule;
   opt.fuse = false;
-  opt.memory_plan = false;
   rt::Executor ex(graph, bind, opt);
-  ex.run_step();  // warm-up: weight-gradient buffers and GEMM scratch
+  ex.run_step();  // warm-up: memory plan and GEMM scratch
   return ex.run_step();
 }
 
@@ -399,9 +396,17 @@ TEST(WhatifLoader, ChromeTraceBytesArePinned) {
 // --- profiler dep edges vs the scheduler DAG --------------------------------
 
 TEST(WhatifDeps, TimelineEdgesMatchOpDag) {
+  // An executor that retains every tensor plans no slab reuse, so the
+  // exported deps are exactly the op DAG's edges.
   const ModelCase c = builtin_models().front();
   const sym::Bindings bind = c.spec.bind(c.hidden, 2);
-  const rt::ProfileReport report = profile_step(*c.spec.graph, bind);
+  rt::ExecutorOptions opt;
+  opt.schedule = rt::Schedule::kSequential;
+  opt.fuse = false;
+  rt::Executor ex(*c.spec.graph, bind, opt);
+  for (const auto& t : c.spec.graph->tensors()) ex.retain(t.get());
+  const rt::ProfileReport report = ex.run_step();
+  ASSERT_TRUE(ex.memory_plan()->reuse_edges.empty());
   const ir::OpDag dag = ir::build_op_dag(*c.spec.graph);
   ASSERT_EQ(report.timeline.size(), dag.order.size());
 
@@ -419,24 +424,28 @@ TEST(WhatifDeps, TimelineEdgesMatchOpDag) {
 }
 
 TEST(WhatifDeps, MemoryPlanAddsOnlyExtraEdges) {
-  // With the planner active the exported deps are the data edges plus the
+  // With slab reuse the exported deps are exactly the data edges plus the
   // plan's reuse edges — a superset per op, never a replacement.
   const ModelCase c = builtin_models().front();
   const sym::Bindings bind = c.spec.bind(c.hidden, 2);
   rt::ExecutorOptions opt;
   opt.schedule = rt::Schedule::kSequential;
   opt.fuse = false;
-  opt.memory_plan = true;
   rt::Executor ex(*c.spec.graph, bind, opt);
-  ex.run_step();
   const rt::ProfileReport planned = ex.run_step();
-  const rt::ProfileReport bare = profile_step(*c.spec.graph, bind);
-  ASSERT_EQ(planned.timeline.size(), bare.timeline.size());
-  for (std::size_t i = 0; i < planned.timeline.size(); ++i) {
-    const auto& with_plan = planned.timeline[i].deps;
-    for (std::size_t d : bare.timeline[i].deps)
-      EXPECT_TRUE(std::binary_search(with_plan.begin(), with_plan.end(), d))
-          << "op " << i << " lost data edge " << d << " under the memory plan";
+  const rt::MemoryPlan& plan = *ex.memory_plan();
+  ASSERT_FALSE(plan.reuse_edges.empty());
+  const ir::OpDag dag = ir::build_op_dag(*c.spec.graph);
+  ASSERT_EQ(planned.timeline.size(), dag.order.size());
+
+  std::vector<std::vector<std::size_t>> want(dag.order.size());
+  for (std::size_t from = 0; from < dag.successors.size(); ++from)
+    for (std::size_t to : dag.successors[from]) want[to].push_back(from);
+  for (const auto& [from, to] : plan.reuse_edges) want[to].push_back(from);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::sort(want[i].begin(), want[i].end());
+    want[i].erase(std::unique(want[i].begin(), want[i].end()), want[i].end());
+    EXPECT_EQ(planned.timeline[i].deps, want[i]) << "op " << i;
   }
 }
 
@@ -813,7 +822,6 @@ FusionPrediction predict_wordlm_fusion(const models::ModelSpec& spec,
   rt::ExecutorOptions opt;
   opt.schedule = rt::Schedule::kSequential;
   opt.fuse = false;
-  opt.memory_plan = true;
   rt::ExecutorOptions fused_opt = opt;
   fused_opt.fuse = true;
   rt::Executor unfused(*spec.graph, bind, opt);

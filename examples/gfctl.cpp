@@ -28,6 +28,10 @@
 //
 // <domain> is one of: wordlm charlm nmt speech image transformer
 //
+// Size flags (--params, --batch, --hidden, --from, --to, --bucket-kb) take
+// a finite positive number; anything else exits 1 naming the flag before
+// any model is built.
+//
 // cpu prints the probed SIMD capabilities of the executing machine, the
 // compiled ISA the runtime runs, and the GEMM register micro-tile each ISA
 // gets from hw::register_tile_rule.
@@ -70,6 +74,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -91,6 +96,22 @@ struct Args {
   double number(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  }
+
+  /// A size flag: a finite positive number. Anything else throws, so
+  /// main() exits 1 naming the flag before any model is built. Empty when
+  /// the flag is absent.
+  std::optional<double> size(const std::string& key) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return std::nullopt;
+    const std::string& text = it->second;
+    double value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value) ||
+        !(value > 0))
+      throw std::invalid_argument("--" + key + " must be a finite positive number, got '" +
+                                  text + "'");
+    return value;
   }
 
   /// A count flag: a whole decimal number of at least `min`. Anything else
@@ -168,15 +189,11 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
-models::ModelSpec build_named(const std::string& name) {
-  if (name == "wordlm") return models::build_word_lm();
-  if (name == "charlm") return models::build_char_lm();
-  if (name == "nmt") return models::build_nmt();
-  if (name == "speech") return models::build_speech();
-  if (name == "image") return models::build_resnet();
-  if (name == "transformer") return models::build_transformer_lm();
-  throw std::invalid_argument("unknown domain '" + name +
-                              "' (wordlm|charlm|nmt|speech|image|transformer)");
+/// The built-in families a `<domain>|all` positional names.
+std::vector<std::string> named_families(const Args& args) {
+  const std::string target = args.positional.size() > 1 ? args.positional[1] : "all";
+  if (target == "all") return analysis::stages::builtin_families();
+  return {target};
 }
 
 int cmd_domains() {
@@ -214,9 +231,9 @@ int cmd_cpu() {
 }
 
 int cmd_characterize(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
-  const double params = args.number("params", 1e9);
-  const double batch = args.number("batch", 32);
+  const double params = args.size("params").value_or(1e9);
+  const double batch = args.size("batch").value_or(32);
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
 
   const analysis::ModelAnalyzer analyzer(spec);
   const auto counts = analyzer.at_params(params, batch);
@@ -248,7 +265,7 @@ int cmd_characterize(const Args& args) {
 }
 
 int cmd_project(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
   const auto& d = scaling::domain_scaling(spec.domain);
   const auto p = scaling::project_frontier(d);
   util::Table table({"quantity", "value", "paper"});
@@ -266,7 +283,7 @@ int cmd_project(const Args& args) {
 }
 
 int cmd_fit(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
   const analysis::ModelAnalyzer analyzer(spec);
   analysis::FitOptions opt = spec.domain == models::Domain::kWordLM && spec.name ==
                                      "transformer_lm"
@@ -291,9 +308,10 @@ int cmd_fit(const Args& args) {
 }
 
 int cmd_subbatch(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
+  const std::optional<double> requested = args.size("params");
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
   const auto& d = scaling::domain_scaling(spec.domain);
-  const double params = args.number("params", d.paper_target_params);
+  const double params = requested.value_or(d.paper_target_params);
   const auto model = analysis::paper_first_order(spec.domain);
   const auto accel = hw::AcceleratorConfig::v100_like();
   const auto choice = hw::choose_subbatch(model, params, accel);
@@ -306,11 +324,11 @@ int cmd_subbatch(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const double lo = args.number("from", 3e7);
-  const double hi = args.number("to", 6e8);
+  const double lo = args.size("from").value_or(3e7);
+  const double hi = args.size("to").value_or(6e8);
   const int points = args.count("points", 8, 2);
-  const double batch = args.number("batch", 32);
-  const auto spec = build_named(args.positional.at(1));
+  const double batch = args.size("batch").value_or(32);
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
 
   const analysis::ModelAnalyzer analyzer(spec);
   const auto targets = analysis::log_spaced(lo, hi, points);
@@ -323,7 +341,7 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_export(const Args& args) {
-  const auto spec = build_named(args.positional.at(1));
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
   const std::string path = args.positional.at(2);
   if (args.flags.count("fuse") != 0) ir::fuse_graph(*spec.graph);
   std::ofstream out(path);
@@ -338,11 +356,11 @@ int cmd_export(const Args& args) {
 // Chrome trace-event JSON (load in chrome://tracing or ui.perfetto.dev).
 int cmd_trace(const Args& args) {
   const std::string path = args.positional.at(2);
-  const double hidden = args.number("hidden", 32);
-  const double batch = args.number("batch", 4);
+  const double hidden = args.size("hidden").value_or(32);
+  const double batch = args.size("batch").value_or(4);
   const auto threads = static_cast<std::size_t>(args.count("threads", 0, 0));
   const int steps = args.count("steps", 1, 1);
-  const auto spec = build_named(args.positional.at(1));
+  const auto spec = analysis::stages::build_stage(args.positional.at(1));
   const auto schedule_it = args.flags.find("schedule");
   const std::string schedule_name =
       schedule_it == args.flags.end() ? "wavefront" : schedule_it->second;
@@ -374,8 +392,8 @@ int cmd_trace(const Args& args) {
 // reuse + in-place aliasing compress the step's transient footprint,
 // against the paper's Fig 10 sequential minimal footprint.
 int cmd_memplan(const Args& args) {
-  const double hidden = args.number("hidden", 32);
-  const double batch = args.number("batch", 4);
+  const double hidden = args.size("hidden").value_or(32);
+  const double batch = args.size("batch").value_or(4);
 
   util::Table table({"model", "ops", "tensors", "aliases", "gross", "live peak",
                      "slab", "fig10 transient", "reuse"});
@@ -390,13 +408,8 @@ int cmd_memplan(const Args& args) {
     spec.name = spec.graph->name();
     specs.push_back(std::move(spec));
   } else {
-    const std::string target = args.positional.size() > 1 ? args.positional[1] : "all";
-    std::vector<std::string> names;
-    if (target == "all")
-      names = {"wordlm", "charlm", "nmt", "speech", "image", "transformer"};
-    else
-      names = {target};
-    for (const std::string& n : names) specs.push_back(build_named(n));
+    for (const std::string& n : named_families(args))
+      specs.push_back(analysis::stages::build_stage(n));
   }
   for (auto& spec : specs) {
     if (args.flags.count("fuse") != 0) ir::fuse_graph(*spec.graph);
@@ -434,20 +447,14 @@ int cmd_memplan(const Args& args) {
 // what it buys analytically. The executor takes the same rewrite at run
 // time via --fuse here or ExecutorOptions::fuse (on by default).
 int cmd_fuse(const Args& args) {
-  const double hidden = args.number("hidden", 32);
-  const double batch = args.number("batch", 4);
-  const std::string target = args.positional.size() > 1 ? args.positional[1] : "all";
-  std::vector<std::string> names;
-  if (target == "all")
-    names = {"wordlm", "charlm", "nmt", "speech", "image", "transformer"};
-  else
-    names = {target};
+  const double hidden = args.size("hidden").value_or(32);
+  const double batch = args.size("batch").value_or(4);
 
   util::Table table({"model", "ops", "fused ops", "groups", "epilogues",
                      "tensors gone", "bytes/step", "fused bytes", "FLOP/B"});
   bool all_clean = true;
-  for (const std::string& n : names) {
-    const auto spec = build_named(n);
+  for (const std::string& n : named_families(args)) {
+    const auto spec = analysis::stages::build_stage(n);
     const auto bind = spec.bind(hidden, batch);
     const std::size_t ops_before = spec.graph->num_ops();
     const double flops = spec.graph->total_flops().eval(bind);
@@ -517,9 +524,10 @@ int cmd_whatif(const Args& args) {
       throw std::invalid_argument(
           "whatif --fuse needs --model <domain> (plus the --hidden/--batch "
           "the trace was profiled with) to plan the fusion groups");
-    const auto spec = build_named(model_it->second);
-    const auto bind =
-        spec.bind(args.number("hidden", 32), args.number("batch", 4));
+    const double hidden = args.size("hidden").value_or(32);
+    const double batch = args.size("batch").value_or(4);
+    const auto spec = analysis::stages::build_stage(model_it->second);
+    const auto bind = spec.bind(hidden, batch);
     const auto groups = whatif::plan_fusion_groups(*spec.graph, bind, t);
     whatif::FuseModelOptions fuse_opt;
     fuse_opt.memory_weight = args.number("memory-weight", fuse_opt.memory_weight);
@@ -641,14 +649,8 @@ int cmd_lint(const Args& args) {
     // 2) rather than a FileError: lint's whole point is reporting.
     absorb(verify::verify_serialized(in, vopts));
   } else {
-    const std::string target = args.positional.size() > 1 ? args.positional[1] : "all";
-    std::vector<std::string> names;
-    if (target == "all")
-      names = {"wordlm", "charlm", "nmt", "speech", "image", "transformer"};
-    else
-      names = {target};
-    for (const std::string& n : names) {
-      const auto spec = build_named(n);
+    for (const std::string& n : named_families(args)) {
+      const auto spec = analysis::stages::build_stage(n);
       if (args.flags.count("fuse") != 0) ir::fuse_graph(*spec.graph);
       absorb(verify::verify_graph(*spec.graph, vopts));
     }
@@ -674,13 +676,12 @@ int cmd_lint(const Args& args) {
 int cmd_datapar(const Args& args) {
   const std::string domain = args.positional.size() > 1 ? args.positional[1] : "wordlm";
   const int shards = args.count("shards", 8, 1);
-  const double hidden = args.number("hidden", 32);
-  const double batch = args.number("batch", 2.0 * shards);
+  const double hidden = args.size("hidden").value_or(32);
+  const double batch = args.size("batch").value_or(2.0 * shards);
   const auto threads = static_cast<std::size_t>(args.count("threads", 1, 0));
   const int steps = args.count("steps", 3, 1);
-  const double bucket_kb = args.number("bucket-kb", 64);
-  if (!(bucket_kb > 0)) throw std::invalid_argument("--bucket-kb must be positive");
-  const auto spec = build_named(domain);
+  const double bucket_kb = args.size("bucket-kb").value_or(64);
+  const auto spec = analysis::stages::build_stage(domain);
   const double sigma = args.number("straggler", 0);
   const auto bind = spec.bind(hidden, batch);
 

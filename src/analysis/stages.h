@@ -88,8 +88,8 @@ struct FuseOutput {
 FuseOutput fuse_stage(const ir::Graph& graph);
 
 /// count: sums the graph's per-op symbolic FLOP/byte formulas and the
-/// trainable-parameter total. Pure, and small next to build_stage (0.72 s
-/// against 13.5 s on charlm, measured on a 4-core AVX-512 host); serve
+/// trainable-parameter total. Pure, and about half of build_stage on charlm
+/// (0.5 s against 1.0 s in a Release build on a 4-core AVX-512 host); serve
 /// caches it per canonical graph hash so a sweep pays it once.
 CountResult count_stage(const ir::Graph& graph);
 

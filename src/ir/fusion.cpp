@@ -402,10 +402,10 @@ void fuse_pointwise_chains(Graph& g, FusionResult& result) {
 
 }  // namespace
 
-FusionResult fuse_graph(Graph& graph, const FusionOptions& options) {
+FusionResult fuse_graph(Graph& graph) {
   FusionResult result;
-  if (options.gemm_epilogues) fuse_gemm_epilogues(graph, result);
-  if (options.pointwise_chains) fuse_pointwise_chains(graph, result);
+  fuse_gemm_epilogues(graph, result);
+  fuse_pointwise_chains(graph, result);
   return result;
 }
 

@@ -2,7 +2,7 @@
 // paper's RNN domains is low-operational-intensity pointwise ops whose
 // intermediates round-trip through memory. This pass rewrites a built
 // graph — after gradient construction, so autodiff never sees fused ops —
-// to raise FLOPs-per-byte two ways:
+// to raise FLOPs-per-byte two ways, always both and in this order:
 //
 //   1. GEMM epilogues: MatMul -> BiasAdd [-> sigmoid|tanh|relu] (or
 //      MatMul -> activation) chains whose intermediates have exactly one
@@ -11,7 +11,7 @@
 //      so the intermediates are never written at all.
 //   2. Pointwise chains/trees: single-consumer chains of PointwiseOp /
 //      BiasAddOp (plus Broadcast feeders, absorbed as modulo-indexed
-//      inputs) collapse into one FusedPointwiseOp interpreter program.
+//      inputs) collapse into one FusedPointwiseOp program.
 //
 // Both rewrites conserve FLOPs exactly and shrink bytes_accessed to the
 // surviving inputs + outputs, so every symbolic consumer (step_analysis,
@@ -32,11 +32,6 @@
 
 namespace gf::ir {
 
-struct FusionOptions {
-  bool gemm_epilogues = true;
-  bool pointwise_chains = true;
-};
-
 struct FusionResult {
   /// FusedPointwiseOp nodes created.
   std::size_t pointwise_groups = 0;
@@ -50,9 +45,9 @@ struct FusionResult {
   std::size_t tensors_removed = 0;
 };
 
-/// Rewrites `graph` in place. Idempotent: a second run finds nothing new.
-/// Call after gradient construction; run verify_graph() afterwards in
-/// doubt (the executor's `verify` option does).
-FusionResult fuse_graph(Graph& graph, const FusionOptions& options = {});
+/// Rewrites `graph` in place with both rewrites. Idempotent: a second run
+/// finds nothing new. Call after gradient construction; run verify_graph()
+/// afterwards in doubt (the executor's `verify` option does).
+FusionResult fuse_graph(Graph& graph);
 
 }  // namespace gf::ir

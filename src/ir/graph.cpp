@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "src/verify/pass.h"
-
 namespace gf::ir {
 
 Graph::Graph(std::string name) : name_(std::move(name)) {}
@@ -210,13 +208,6 @@ OpDag build_op_dag(const Graph& graph) {
     for (std::size_t s : succ) ++dag.predecessor_count[s];
   }
   return dag;
-}
-
-void Graph::validate() const {
-  // Compat shim: the historical first-error-throws contract now sits on
-  // top of the collect-all diagnostics engine in src/verify/. Callers who
-  // want the full report should call verify::verify_graph() directly.
-  verify::validate_or_throw(*this);
 }
 
 }  // namespace gf::ir

@@ -107,13 +107,6 @@ class Graph {
   /// builder — the same role the framework's schedule plays in the paper).
   std::vector<const Op*> topological_order() const;
 
-  /// Compat shim over the verify:: static-analysis engine: runs the full
-  /// built-in pass suite (structure, shapes, symbolic, gradients, races)
-  /// and throws std::logic_error listing the error-severity findings.
-  /// Call verify::verify_graph() instead to collect all diagnostics
-  /// without throwing.
-  void validate() const;
-
  private:
   std::string name_;
   std::vector<std::unique_ptr<Tensor>> tensors_;

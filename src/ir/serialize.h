@@ -34,7 +34,7 @@ void serialize(const Graph& graph, std::ostream& os);
 /// Reconstructs a graph from serialize()'s output. The result validates
 /// and is analytically identical (FLOPs/bytes/footprint/params) to the
 /// original. Throws std::invalid_argument with a line number on malformed
-/// input. Pass validate=false to skip the post-load Graph::validate()
+/// input. Pass validate=false to skip the post-load full verify suite
 /// (verify::verify_serialized does, so a reconstructable-but-broken graph
 /// yields structured diagnostics instead of one thrown error).
 std::unique_ptr<Graph> deserialize(const std::string& text, bool validate = true);

@@ -239,7 +239,14 @@ ModelSpec finalize_model(std::string name, Domain domain, std::unique_ptr<Graph>
                          Tensor* loss, int samples_per_batch_row,
                          const TrainingOptions& training) {
   ir::build_training_step(*graph, loss, {.optimizer = training.optimizer});
-  verify::validate_or_throw(*graph);
+  // Builds run the four cheap passes that guard what construction cannot:
+  // wiring, shapes, dims provably positive (symbolic is the only check that
+  // rejects a zero vocab, class count or projection width) and one update
+  // per weight. The other seven cost 77-98% of a full run and run where
+  // their report is read: gfctl lint, serve's lint kind, the executor's
+  // verify option, ir::deserialize, and the tests that lint every model.
+  verify::validate_or_throw(
+      *graph, {.passes = {"structure", "shapes", "symbolic", "gradients"}});
   ModelSpec spec;
   spec.name = std::move(name);
   spec.domain = domain;

@@ -124,7 +124,8 @@ ir::Tensor* sequence_output_loss(ir::Graph& g, const std::string& name,
                                  ir::Tensor* states, int steps, const sym::Expr& dim,
                                  int vocab, ir::Tensor* labels);
 
-/// Finishes a model: validates, appends backward + update ops, wraps.
+/// Finishes a model: appends backward + update ops, runs the structure,
+/// shapes, symbolic and gradients verify passes, wraps.
 ModelSpec finalize_model(std::string name, Domain domain,
                          std::unique_ptr<ir::Graph> graph, ir::Tensor* loss,
                          int samples_per_batch_row,

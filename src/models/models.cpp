@@ -1,19 +1,6 @@
 #include "src/models/models.h"
 
-#include <stdexcept>
-
 namespace gf::models {
-
-ModelSpec build_domain(Domain domain) {
-  switch (domain) {
-    case Domain::kWordLM: return build_word_lm();
-    case Domain::kCharLM: return build_char_lm();
-    case Domain::kNMT: return build_nmt();
-    case Domain::kSpeech: return build_speech();
-    case Domain::kImage: return build_resnet();
-  }
-  throw std::invalid_argument("unknown domain");
-}
 
 std::vector<ModelSpec> build_all_domains() {
   std::vector<ModelSpec> specs;

@@ -20,7 +20,4 @@ namespace gf::models {
 /// and re-bind symbols across sweeps.
 std::vector<ModelSpec> build_all_domains();
 
-/// Builds the default model for one domain.
-ModelSpec build_domain(Domain domain);
-
 }  // namespace gf::models

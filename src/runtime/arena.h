@@ -1,6 +1,6 @@
 // Allocation accounting, mirroring the TensorFlow-allocator measurement the
 // paper compares its topological footprint estimates against (Figure 10),
-// plus the aligned allocator every runtime buffer goes through.
+// plus the aligned allocator and the page buffer runtime buffers live in.
 //
 // Counters are atomics (peak via a CAS loop), so they stay consistent if
 // charged from several threads. The executor charges its persistent state
@@ -8,8 +8,12 @@
 // run_step(); pool workers never allocate or free.
 #pragma once
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -78,6 +82,27 @@ class AlignedAllocator {
 /// scratch.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// Unmaps pages, unpoisoned first: a later mapping may reuse the addresses.
+struct UnmapPages {
+  std::size_t bytes = 0;
+  void operator()(unsigned char* p) const {
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+    ::munmap(p, bytes);
+  }
+};
+using PageBuffer = std::unique_ptr<unsigned char, UnmapPages>;
+
+/// Zero-filled bytes on pages of their own (an anonymous mapping), for the
+/// memory plan's slab. A freed heap block of that size (tens of MB) stays
+/// resident; once a small allocation lands inside it, the next executor's
+/// slab takes fresh heap and two slabs are resident at once.
+inline PageBuffer map_pages(std::size_t bytes) {
+  if (bytes == 0) return PageBuffer(nullptr, UnmapPages{0});
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return PageBuffer(static_cast<unsigned char*>(p), UnmapPages{bytes});
+}
 
 class ArenaAccounting {
  public:

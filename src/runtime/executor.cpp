@@ -182,11 +182,9 @@ DenseTensor& Executor::storage(const ir::Tensor* tensor) {
 void Executor::build_plan() {
   if (plan_) {
     // Replacing a plan: its views point into the old slab. Un-charge the
-    // old slab before the new one is accounted, and make it addressable
-    // again so the allocator may reuse it.
+    // old slab before the new one is accounted.
     transient_.clear();
     arena_.release(plan_->slab_bytes);
-    ASAN_UNPOISON_MEMORY_REGION(slab_.data(), slab_.size());
   }
   MemPlanOptions mopts;
   mopts.exclude.reserve(pinned_inputs_.size());
@@ -195,14 +193,14 @@ void Executor::build_plan() {
   plan_ = plan_memory(*graph_, dag_, bindings_, mopts);
   const MemoryPlan& plan = *plan_;
 
-  slab_ = AlignedVector<unsigned char>(plan.slab_bytes);
+  slab_ = map_pages(plan.slab_bytes);
   arena_.allocate(plan.slab_bytes);
   // The slab's bytes are NOT zeroed per step: execute_resolved zeroes
   // non-aliased outputs just before their producer runs (zero_first).
   transient_.reserve(plan.tensors.size());
   for (const PlannedTensor& pt : plan.tensors)
     transient_.emplace(pt.tensor, DenseTensor::view(shapes_.at(pt.tensor), pt.tensor->dtype(),
-                                                    slab_.data() + pt.offset));
+                                                    slab_.get() + pt.offset));
   poison_slab();
 
   // Both schedules must also respect the plan's reuse edges: an op that
@@ -228,7 +226,7 @@ void Executor::build_plan() {
       DenseTensor* out = &storage(t);
       r.out.push_back(out);
       if (const PlannedTensor* pt = plan.find(t); pt != nullptr) {
-        r.extents.emplace_back(slab_.data() + pt->offset, pt->bytes);
+        r.extents.emplace_back(slab_.get() + pt->offset, pt->bytes);
         if (pt->alias_root == nullptr) r.zero_first.push_back(out);
       }
     }
@@ -238,10 +236,10 @@ void Executor::build_plan() {
 }
 
 void Executor::poison_slab() {
-  ASAN_POISON_MEMORY_REGION(slab_.data(), slab_.size());
+  ASAN_POISON_MEMORY_REGION(slab_.get(), plan_->slab_bytes);
   for (const ir::Tensor* t : retained_)
     if (const PlannedTensor* pt = plan_->find(t); pt != nullptr)
-      ASAN_UNPOISON_MEMORY_REGION(slab_.data() + pt->offset, pt->bytes);
+      ASAN_UNPOISON_MEMORY_REGION(slab_.get() + pt->offset, pt->bytes);
 }
 
 void Executor::prepare_step() {
@@ -251,7 +249,7 @@ void Executor::prepare_step() {
     if (t->producer() != nullptr || t->is_persistent()) continue;
     if (t->role() == ir::TensorRole::kInput && pinned_inputs_.contains(t.get())) continue;
     const PlannedTensor* pt = plan_->find(t.get());
-    ASAN_UNPOISON_MEMORY_REGION(slab_.data() + pt->offset, pt->bytes);
+    ASAN_UNPOISON_MEMORY_REGION(slab_.get() + pt->offset, pt->bytes);
     DenseTensor& v = transient_.at(t.get());
     if (t->role() == ir::TensorRole::kGradient) {
       for (std::int64_t i = 0; i < v.numel(); ++i) v.f(i) = 1.0f;

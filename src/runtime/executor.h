@@ -250,7 +250,7 @@ class Executor {
   // pins mark it dirty.
   std::optional<MemoryPlan> plan_;
   bool plan_dirty_ = true;
-  AlignedVector<unsigned char> slab_;
+  PageBuffer slab_;
   /// Scheduler DAG augmented with the plan's reuse edges; both schedules
   /// and the exported timeline deps use it.
   std::vector<std::vector<std::size_t>> planned_successors_;

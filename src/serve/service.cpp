@@ -1,5 +1,6 @@
 #include "src/serve/service.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -53,11 +54,35 @@ std::uint64_t double_bits(double v) {
   return bits;
 }
 
-double require_number(const Json& req, const char* key) {
-  const Json* v = req.find(key);
-  if (v == nullptr || !v->is_number())
-    throw std::invalid_argument(std::string("missing numeric field '") + key + "'");
-  return v->as_number();
+/// A numeric request field (hidden, batch, target params, speedup, or one
+/// element of an array of them): a finite positive number, or null if missing.
+double require_positive(const Json* value, const std::string& field) {
+  if (value == nullptr) throw std::invalid_argument("missing numeric field '" + field + "'");
+  if (!value->is_number() || !std::isfinite(value->as_number()) ||
+      !(value->as_number() > 0))
+    throw std::invalid_argument("field '" + field + "' must be a finite positive number");
+  return value->as_number();
+}
+
+/// The values a sweep field lists: every element of an array, or one number.
+std::vector<double> require_positives(const Json* values, const std::string& field) {
+  if (values == nullptr || !values->is_array()) return {require_positive(values, field)};
+  std::vector<double> out;
+  for (std::size_t i = 0; i < values->items().size(); ++i)
+    out.push_back(
+        require_positive(&values->items()[i], field + "[" + std::to_string(i) + "]"));
+  return out;
+}
+
+/// The hidden width at which a graph counted as `counts` reaches
+/// `target_params`, solved once per (graph, target).
+double solve_hidden(StageCache& cache, std::uint64_t graph_hash, const CountResult& counts,
+                    double target_params) {
+  const std::uint64_t key = ir::fnv1a64_mix(graph_hash, double_bits(target_params));
+  return *cache.get_or_compute<double>("solve", key, [&] {
+    return std::make_shared<double>(analysis::stages::solve_for_params(
+        counts, models::kHiddenSymbol, target_params));
+  });
 }
 
 /// Binding map for one request point: hidden/batch fill the two standard
@@ -191,6 +216,13 @@ Json AnalysisService::project_point(const LoadedModel& model, double hidden,
   const auto projection = cache_.get_or_compute<Projection>("project", point_key, [&] {
     return std::make_shared<Projection>(analysis::stages::project_stage(*counts, bind));
   });
+  for (const auto& [field, value] : {std::pair{"params", projection->params},
+                                     {"flops", projection->flops},
+                                     {"bytes", projection->bytes}})
+    if (!std::isfinite(value))
+      throw std::invalid_argument(std::string("projected '") + field +
+                                  "' is not finite at hidden " + num_text(hidden) +
+                                  ", batch " + num_text(batch));
 
   Json row = Json::object();
   row.set("hidden", Json(hidden));
@@ -215,21 +247,15 @@ Json AnalysisService::project_point(const LoadedModel& model, double hidden,
 }
 
 Json AnalysisService::do_characterize(const Json& req) {
+  const double batch = require_positive(req.find("batch"), "batch");
+  const Json* target = req.find("params");
+  const double size = target != nullptr ? require_positive(target, "params")
+                                        : require_positive(req.find("hidden"), "hidden");
   const auto model = resolve_model(req);
-  const double batch = require_number(req, "batch");
-  double hidden = 0;
-  if (const Json* target = req.find("params"); target != nullptr) {
-    const double target_params = target->as_number();
-    const auto counts = counts_for(*model);
-    const std::uint64_t solve_key =
-        ir::fnv1a64_mix(model->graph_hash, double_bits(target_params));
-    hidden = *cache_.get_or_compute<double>("solve", solve_key, [&] {
-      return std::make_shared<double>(analysis::stages::solve_for_params(
-          *counts, models::kHiddenSymbol, target_params));
-    });
-  } else {
-    hidden = require_number(req, "hidden");
-  }
+  const double hidden =
+      target != nullptr
+          ? solve_hidden(cache_, model->graph_hash, *counts_for(*model), size)
+          : size;
 
   Json out = Json::object();
   out.set("kind", Json("characterize"));
@@ -241,32 +267,18 @@ Json AnalysisService::do_characterize(const Json& req) {
 }
 
 Json AnalysisService::do_sweep(const Json& req) {
-  const auto model = resolve_model(req);
-
-  std::vector<double> hiddens;
-  if (const Json* hs = req.find("hidden"); hs != nullptr && hs->is_array()) {
-    for (const Json& h : hs->items()) hiddens.push_back(h.as_number());
-  } else if (const Json* targets = req.find("params");
-             targets != nullptr && targets->is_array()) {
-    const auto counts = counts_for(*model);
-    for (const Json& t : targets->items()) {
-      const double target_params = t.as_number();
-      const std::uint64_t solve_key =
-          ir::fnv1a64_mix(model->graph_hash, double_bits(target_params));
-      hiddens.push_back(*cache_.get_or_compute<double>("solve", solve_key, [&] {
-        return std::make_shared<double>(analysis::stages::solve_for_params(
-            *counts, models::kHiddenSymbol, target_params));
-      }));
-    }
-  } else {
+  const Json* hs = req.find("hidden");
+  const Json* targets = req.find("params");
+  const bool by_hidden = hs != nullptr && hs->is_array();
+  if (!by_hidden && (targets == nullptr || !targets->is_array()))
     throw std::invalid_argument("sweep needs 'hidden' or 'params' as an array");
-  }
-
-  std::vector<double> batches;
-  if (const Json* bs = req.find("batch"); bs != nullptr && bs->is_array()) {
-    for (const Json& b : bs->items()) batches.push_back(b.as_number());
-  } else {
-    batches.push_back(require_number(req, "batch"));
+  std::vector<double> hiddens =
+      require_positives(by_hidden ? hs : targets, by_hidden ? "hidden" : "params");
+  const std::vector<double> batches = require_positives(req.find("batch"), "batch");
+  const auto model = resolve_model(req);
+  if (!by_hidden) {  // the listed values are target parameter counts
+    const auto counts = counts_for(*model);
+    for (double& h : hiddens) h = solve_hidden(cache_, model->graph_hash, *counts, h);
   }
 
   const bool footprint = req.bool_or("footprint", false);
@@ -311,8 +323,8 @@ Json AnalysisService::do_lint(const Json& req) {
 
 Json AnalysisService::do_memplan(const Json& req) {
   const auto model = resolve_model(req);
-  const double hidden = require_number(req, "hidden");
-  const double batch = require_number(req, "batch");
+  const double hidden = require_positive(req.find("hidden"), "hidden");
+  const double batch = require_positive(req.find("batch"), "batch");
   const sym::Bindings bind = point_bindings(req, hidden, batch);
   const std::uint64_t key = ir::fnv1a64_mix(model->graph_hash, binding_hash(bind));
 
@@ -355,7 +367,7 @@ Json AnalysisService::do_whatif_scale(const Json& req) {
   if (trace_text == nullptr || !trace_text->is_string())
     throw std::invalid_argument("whatif-scale needs 'trace' (chrome-trace JSON text)");
   const std::string op_type = req.string_or("op_type", "*");
-  const double speedup = require_number(req, "speedup");
+  const double speedup = require_positive(req.find("speedup"), "speedup");
 
   const std::uint64_t trace_key = ir::fnv1a64(trace_text->as_string());
   const auto loaded = cache_.get_or_compute<LoadedTrace>("trace", trace_key, [&] {

@@ -1,11 +1,11 @@
 // Diagnostic vocabulary of the static-analysis (verify) subsystem.
 //
 // A verifier pass never throws on a bad graph: it appends Diagnostics to
-// the result so a single run reports *every* problem, where the throwing
-// Graph::validate() predecessor stopped at the first. Severity kError
-// marks graphs whose downstream analyses (FLOP/byte/footprint tables,
-// wavefront schedules) would be silently wrong; kWarning marks structure
-// that is suspicious but analyzable; kNote is informational.
+// the result so a single run reports *every* problem instead of stopping
+// at the first. Severity kError marks graphs whose downstream analyses
+// (FLOP/byte/footprint tables, wavefront schedules) would be silently
+// wrong; kWarning marks structure that is suspicious but analyzable;
+// kNote is informational.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Pass-framework engine: registry, collect-all driver, the throwing
-// compat shim, and the untrusted-file entry point.
+// entry point, and the untrusted-file entry point.
 #include <algorithm>
 #include <istream>
 #include <stdexcept>
@@ -83,8 +83,8 @@ VerifyResult verify_graph(const ir::Graph& graph, const VerifyOptions& options) 
   return result;
 }
 
-void validate_or_throw(const ir::Graph& graph) {
-  const VerifyResult result = verify_graph(graph);
+void validate_or_throw(const ir::Graph& graph, const VerifyOptions& options) {
+  const VerifyResult result = verify_graph(graph, options);
   if (!result.has_errors()) return;
   constexpr std::size_t kMaxShown = 8;
   std::string msg = "graph '" + graph.name() + "' failed verification:";
@@ -105,7 +105,7 @@ void validate_or_throw(const ir::Graph& graph) {
 VerifyResult verify_serialized(std::istream& is, const VerifyOptions& options) {
   std::unique_ptr<ir::Graph> graph;
   try {
-    // Skip the post-load validate(): a reconstructable-but-broken graph
+    // Skip the post-load validation: a reconstructable-but-broken graph
     // should produce structured diagnostics below, not one thrown error.
     graph = ir::deserialize(is, /*validate=*/false);
   } catch (const std::exception& e) {

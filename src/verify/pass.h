@@ -37,8 +37,9 @@
 // a fixpoint); see DESIGN.md for a guide to writing new passes.
 //
 // Entry points: verify_graph() for structured diagnostics (gfctl lint,
-// the executor's debug hook), validate_or_throw() as the compat shim
-// behind the historical Graph::validate() contract.
+// serve's lint kind, the executor's debug hook); validate_or_throw() where
+// a finding must abort, with the full suite on ir::deserialize's untrusted
+// input and only the four cheap passes on every model build.
 #pragma once
 
 #include <iosfwd>
@@ -91,10 +92,10 @@ class PassRegistry {
 /// Runs the selected passes and collects every diagnostic.
 VerifyResult verify_graph(const ir::Graph& graph, const VerifyOptions& options = {});
 
-/// Compat shim preserving the historical Graph::validate() contract:
-/// runs every pass and throws std::logic_error describing the
-/// error-severity diagnostics (all of them, not just the first).
-void validate_or_throw(const ir::Graph& graph);
+/// Runs the selected passes (every pass by default) and throws
+/// std::logic_error describing the error-severity diagnostics (all of
+/// them, not just the first).
+void validate_or_throw(const ir::Graph& graph, const VerifyOptions& options = {});
 
 /// Deserializes and verifies a saved graph. Corrupt or truncated input
 /// becomes an error diagnostic from the "load" pseudo-pass instead of an

@@ -5,6 +5,7 @@
 
 #include "src/ir/footprint.h"
 #include "src/models/models.h"
+#include "src/verify/pass.h"
 
 namespace gf::models {
 namespace {
@@ -41,16 +42,16 @@ TEST(HalfPrecision, HalvesBytesAndFootprintNotFlops) {
 TEST(HalfPrecision, WorksForEveryFamily) {
   WordLmConfig w{.vocab = 100, .layers = 1, .seq_length = 3};
   w.training.half_precision = true;
-  EXPECT_NO_THROW(build_word_lm(w).graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*build_word_lm(w).graph));
   CharLmConfig c{.vocab = 30, .depth = 2, .seq_length = 3};
   c.training.half_precision = true;
-  EXPECT_NO_THROW(build_char_lm(c).graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*build_char_lm(c).graph));
   ResNetConfig r{.depth = 18, .image_size = 32, .classes = 10};
   r.training.half_precision = true;
-  EXPECT_NO_THROW(build_resnet(r).graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*build_resnet(r).graph));
   TransformerLmConfig t{.vocab = 50, .layers = 1, .seq_length = 4};
   t.training.half_precision = true;
-  EXPECT_NO_THROW(build_transformer_lm(t).graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*build_transformer_lm(t).graph));
 }
 
 TEST(OptimizerChoice, SlotStateScalesPersistentBytes) {

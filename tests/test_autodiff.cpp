@@ -7,6 +7,7 @@
 #include "src/ir/gradients.h"
 #include "src/ir/graph.h"
 #include "src/ir/ops.h"
+#include "src/verify/pass.h"
 
 namespace gf::ir {
 namespace {
@@ -42,7 +43,7 @@ TEST(Autodiff, BuildsUpdateForEveryWeight) {
   for (const auto& op : m.g.ops())
     if (op->type() == OpType::kApplyGradient) ++updates;
   EXPECT_EQ(updates, 3u);
-  EXPECT_NO_THROW(m.g.validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(m.g));
 }
 
 TEST(Autodiff, MatrixBackpropIsTwiceForward) {
@@ -166,7 +167,7 @@ TEST(Autodiff, SplitConcatRoundTripDifferentiates) {
   (void)probs;
   Tensor* loss = reduce_mean(g, "loss", per_row);
   EXPECT_NO_THROW(build_training_step(g, loss));
-  EXPECT_NO_THROW(g.validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(g));
 }
 
 TEST(Footprint, PersistentVsTransientSeparation) {

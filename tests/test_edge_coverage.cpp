@@ -10,6 +10,7 @@
 #include "src/ir/ops.h"
 #include "src/ir/serialize.h"
 #include "src/util/table.h"
+#include "src/verify/pass.h"
 
 namespace gf {
 namespace {
@@ -20,7 +21,7 @@ TEST(GraphValidate, RejectsOrphanActivation) {
   ir::Graph g("bad");
   g.make_tensor("floating", ir::TensorShape{Expr(4)}, ir::DataType::kFloat32,
                 ir::TensorRole::kActivation);
-  EXPECT_THROW(g.validate(), std::logic_error);
+  EXPECT_THROW(verify::validate_or_throw(g), std::logic_error);
 }
 
 TEST(GraphValidate, AcceptsProducerlessStateRoles) {
@@ -29,7 +30,7 @@ TEST(GraphValidate, AcceptsProducerlessStateRoles) {
                 ir::TensorRole::kGradient);
   g.make_tensor("slot", ir::TensorShape{Expr(4)}, ir::DataType::kFloat32,
                 ir::TensorRole::kOptimizerState);
-  EXPECT_NO_THROW(g.validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(g));
 }
 
 TEST(TensorShape, EvalRejectsNonIntegerAndNonPositive) {

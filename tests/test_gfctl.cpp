@@ -1,29 +1,42 @@
-// gfctl's count flags, driven through the binary: a count that is not a
-// whole number, is negative, or asks for zero steps exits 1 before any
-// model or thread pool is built, and writes no output file. Only values
-// rejected before a pool exists are tested here.
+// gfctl's count and size flags, driven through the binary: a count that is
+// not a whole number, is negative, or asks for zero steps, and a size that
+// is not a finite positive number, exits 1 before any model or thread pool
+// is built, and writes no output file. Only values rejected before a pool
+// exists are tested here.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Runs gfctl with `args`; returns its exit status (-1 if it did not exit).
-int run_gfctl(const std::string& args) {
-  const std::string cmd = std::string(GF_GFCTL_PATH) + " " + args + " > /dev/null 2>&1";
-  const int status = std::system(cmd.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
 fs::path scratch_path(const std::string& name) {
   return fs::temp_directory_path() /
          ("gfctl_args_" + std::to_string(::getpid()) + "_" + name);
+}
+
+/// Runs gfctl with `args`; returns its exit status (-1 if it did not exit)
+/// and, if `err` is set, stores what it wrote to stderr.
+int run_gfctl(const std::string& args, std::string* err = nullptr) {
+  const fs::path err_path = scratch_path("stderr.txt");
+  const std::string cmd =
+      std::string(GF_GFCTL_PATH) + " " + args + " > /dev/null 2> " + err_path.string();
+  const int status = std::system(cmd.c_str());
+  if (err != nullptr) {
+    std::ifstream in(err_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *err = text.str();
+  }
+  fs::remove(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 TEST(GfctlArgs, TraceRejectsBadCountFlagsAndWritesNoFile) {
@@ -32,6 +45,30 @@ TEST(GfctlArgs, TraceRejectsBadCountFlagsAndWritesNoFile) {
     fs::remove(out);
     EXPECT_EQ(run_gfctl("trace wordlm " + out.string() + " " + flags), 1) << flags;
     EXPECT_FALSE(fs::exists(out)) << flags;
+  }
+}
+
+TEST(GfctlArgs, SizeFlagsMustBeFinitePositiveNumbers) {
+  struct Case {
+    const char* command;
+    const char* flag;
+    const char* value;
+  };
+  for (const Case& c : {Case{"fuse transformer", "batch", "-3"},
+                        Case{"characterize wordlm", "batch", "nan"},
+                        Case{"fuse transformer", "hidden", "nan"},
+                        Case{"subbatch wordlm", "params", "nan"},
+                        Case{"characterize wordlm", "params", "12abc"},
+                        Case{"sweep wordlm", "from", "0"},
+                        Case{"sweep wordlm", "to", "inf"},
+                        Case{"memplan image", "hidden", "1e400"},
+                        Case{"datapar", "bucket-kb", "inf"}}) {
+    const std::string args = std::string(c.command) + " --" + c.flag + " " + c.value;
+    std::string err;
+    EXPECT_EQ(run_gfctl(args, &err), 1) << args;
+    EXPECT_EQ(err, std::string("gfctl: --") + c.flag +
+                       " must be a finite positive number, got '" + c.value + "'\n")
+        << args;
   }
 }
 

@@ -4,6 +4,7 @@
 #include "src/ir/footprint.h"
 #include "src/ir/graph.h"
 #include "src/ir/ops.h"
+#include "src/verify/pass.h"
 
 namespace gf::ir {
 namespace {
@@ -206,7 +207,7 @@ TEST(Graph, AggregatesAndParameterCount) {
   matmul(g, "m2", y1, w2);
   EXPECT_TRUE(g.parameter_count().equals(Expr(2) * h * h));
   EXPECT_DOUBLE_EQ(g.total_flops().eval({{"h", 64}}), 2.0 * 2 * 8 * 64 * 64);
-  g.validate();
+  verify::validate_or_throw(g);
 }
 
 TEST(Graph, TopologicalOrderRespectsDependencies) {
@@ -231,7 +232,7 @@ TEST(Graph, ValidateAcceptsWellFormedTrainingishGraph) {
   auto [loss, probs] = softmax_xent(g, "xent", matmul(g, "mm", x, w), labels);
   (void)loss;
   (void)probs;
-  EXPECT_NO_THROW(g.validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(g));
 }
 
 }  // namespace

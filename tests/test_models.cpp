@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/ir/footprint.h"
+#include "src/ir/fusion.h"
 #include "src/models/models.h"
+#include "src/verify/pass.h"
 
 namespace gf::models {
 namespace {
@@ -97,7 +102,7 @@ TEST(Speech, EncoderPoolingShrinksTime) {
   const ModelSpec spec = build_speech(cfg);
   // Pooled twice: attention runs over 80/4 = 20 encoder states. Indirectly
   // verified: building succeeds and validates (split arithmetic checks).
-  EXPECT_NO_THROW(spec.graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*spec.graph));
 }
 
 TEST(Speech, RejectsNonDivisibleFrames) {
@@ -186,7 +191,92 @@ TEST(AllDomains, FootprintHasPersistentFloor) {
 
 TEST(AllDomains, GraphsValidate) {
   for (const ModelSpec& spec : build_all_domains())
-    EXPECT_NO_THROW(spec.graph->validate()) << spec.name;
+    EXPECT_NO_THROW(verify::validate_or_throw(*spec.graph)) << spec.name;
+}
+
+TEST(ModelBuild, SymbolicPassRejectsZeroSizes) {
+  // Construction checks none of these sizes. The symbolic pass, one of the
+  // four passes every build runs, proves a dim non-positive (or a ratio
+  // negative), so the build throws instead of yielding a degenerate model.
+  const std::vector<std::pair<std::string, std::function<ModelSpec()>>> cases = {
+      {"word LM, vocab 0",
+       [] { return build_word_lm({.vocab = 0, .layers = 1, .seq_length = 3}); }},
+      {"char LM, vocab 0",
+       [] { return build_char_lm({.vocab = 0, .depth = 2, .seq_length = 3}); }},
+      {"NMT, source vocab 0",
+       [] {
+         return build_nmt({.vocab_src = 0, .vocab_tgt = 30, .src_length = 3, .tgt_length = 3,
+                           .decoder_layers = 1});
+       }},
+      {"speech, vocab 0",
+       [] {
+         return build_speech({.audio_frames = 8, .feature_dim = 4, .encoder_layers = 2,
+                              .decoder_length = 3, .vocab = 0});
+       }},
+      {"transformer, vocab 0",
+       [] { return build_transformer_lm({.vocab = 0, .layers = 1, .seq_length = 4}); }},
+      {"ResNet, 0 classes",
+       [] { return build_resnet({.depth = 18, .image_size = 32, .classes = 0}); }},
+      {"projected word LM, ratio 0",
+       [] {
+         return build_word_lm({.vocab = 50, .layers = 2, .seq_length = 3, .projection = true,
+                               .projection_ratio = 0});
+       }},
+      {"projected word LM, ratio -1",
+       [] {
+         return build_word_lm({.vocab = 50, .layers = 2, .seq_length = 3, .projection = true,
+                               .projection_ratio = -1});
+       }},
+  };
+  for (const auto& [what, build] : cases) {
+    try {
+      build();
+      ADD_FAILURE() << what << ": built";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("error[symbolic]"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+}
+
+TEST(BuilderFeatures, FullSuiteCleanFusedAndUnfused) {
+  // Builds run four verify passes, and the full suite runs over the
+  // default models elsewhere. This runs it, unfused and fused, over the
+  // builder features no default model uses, at toy sizes.
+  std::vector<std::pair<std::string, std::function<ModelSpec()>>> builds = {
+      {"GRU word LM",
+       [] {
+         return build_word_lm(
+             {.vocab = 50, .layers = 2, .seq_length = 3, .cell = RecurrentCell::kGRU});
+       }},
+      {"projected word LM",
+       [] {
+         return build_word_lm({.vocab = 50, .layers = 2, .seq_length = 3, .projection = true});
+       }},
+  };
+  for (const ir::Optimizer optimizer : {ir::Optimizer::kMomentum, ir::Optimizer::kAdam})
+    builds.emplace_back(
+        optimizer == ir::Optimizer::kAdam ? "Adam word LM" : "Momentum word LM", [optimizer] {
+          WordLmConfig cfg{.vocab = 50, .layers = 1, .seq_length = 3};
+          cfg.training.optimizer = optimizer;
+          return build_word_lm(cfg);
+        });
+  for (const int depth : {18, 34, 101, 152})
+    builds.emplace_back("ResNet-" + std::to_string(depth), [depth] {
+      return build_resnet({.depth = depth, .image_size = 32, .classes = 10});
+    });
+
+  for (const bool fuse : {false, true}) {
+    for (const auto& [what, build] : builds) {
+      const ModelSpec spec = build();
+      if (fuse) ir::fuse_graph(*spec.graph);
+      const verify::VerifyResult r = verify::verify_graph(*spec.graph);
+      std::string findings;
+      for (const verify::Diagnostic& d : r.diagnostics)
+        if (d.severity != verify::Severity::kNote) findings += "\n  " + d.str();
+      EXPECT_TRUE(findings.empty()) << what << (fuse ? " (fused)" : "") << findings;
+    }
+  }
 }
 
 TEST(AllDomains, ParamsDependOnlyOnHidden) {

@@ -457,6 +457,41 @@ TEST(Serve, LintCountsMatchTheReportForEveryCorpusFile) {
   EXPECT_GT(files, 0u);
 }
 
+TEST(Serve, SizesMustBePositiveAndProjectionsFinite) {
+  // Each request answers ok:false and names the offending field: an input
+  // size that is not a finite positive number (every array element is
+  // checked), or a projected count that overflows to a non-finite value.
+  const std::string graph = Json(submitted_graph_text()).dump();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"kind":"characterize","model":"wordlm","hidden":512,"batch":-3,"footprint":true})",
+       "field 'batch' must be a finite positive number"},
+      {R"({"kind":"characterize","model":"wordlm","hidden":512,"batch":1e300,"footprint":true})",
+       "projected 'flops' is not finite"},
+      {R"({"kind":"characterize","graph":)" + graph + R"(,"hidden":0,"batch":8})",
+       "field 'hidden' must be a finite positive number"},
+      {R"({"kind":"characterize","graph":)" + graph + R"(,"params":-1,"batch":8})",
+       "field 'params' must be a finite positive number"},
+      {R"({"kind":"characterize","graph":)" + graph + R"(,"hidden":1e200,"batch":8})",
+       "projected 'params' is not finite"},
+      {R"({"kind":"sweep","graph":)" + graph + R"(,"hidden":[32,-1],"batch":8})",
+       "field 'hidden[1]' must be a finite positive number"},
+      {R"({"kind":"sweep","graph":)" + graph + R"(,"params":[1e6,0],"batch":8})",
+       "field 'params[1]' must be a finite positive number"},
+      {R"({"kind":"sweep","graph":)" + graph + R"(,"hidden":[32],"batch":[8,1e400]})",
+       "field 'batch[1]' must be a finite positive number"},
+      {R"({"kind":"sweep","graph":)" + graph + R"(,"hidden":[32],"batch":"8"})",
+       "field 'batch' must be a finite positive number"},
+  };
+  conc::ThreadPool pool(1);
+  AnalysisService service(pool);
+  for (const auto& [request, error] : cases) {
+    const Json response = Json::parse(service.handle(request));
+    EXPECT_FALSE(response.bool_or("ok", true)) << request;
+    EXPECT_NE(response.string_or("error", "").find(error), std::string::npos)
+        << response.dump();
+  }
+}
+
 TEST(Serve, PreloadWarmsParseAndCountStages) {
   const std::string graph_text = submitted_graph_text();
   conc::ThreadPool pool(1);

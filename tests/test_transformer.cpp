@@ -9,6 +9,7 @@
 #include "src/ir/footprint.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
+#include "src/verify/pass.h"
 
 namespace gf::models {
 namespace {
@@ -83,7 +84,7 @@ TEST(TransformerLm, HigherOperationalIntensityThanLstmAtSameSize) {
 
 TEST(TransformerLm, ValidatesAndFitsFirstOrderModel) {
   const ModelSpec spec = build_transformer_lm();
-  EXPECT_NO_THROW(spec.graph->validate());
+  EXPECT_NO_THROW(verify::validate_or_throw(*spec.graph));
   const analysis::ModelAnalyzer analyzer(spec);
   analysis::FitOptions opt;
   opt.min_params = 5e10;

@@ -1,11 +1,12 @@
 // Static-analysis (verify) subsystem tests: the collect-all engine, each
 // built-in pass's negative paths (mutated graphs produce diagnostics, not
-// crashes), the throwing compat shim, corrupted serialized graphs, the
+// crashes), the throwing entry point, corrupted serialized graphs, the
 // executor's opt-in pre-dispatch hook, and the headline race checker —
 // including the "deleted WAR edge" scenario the pass exists to catch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 
 #include "src/ir/gradients.h"
@@ -76,7 +77,7 @@ TEST(VerifyEngine, PassSelectionAndUnknownPass) {
 
 TEST(VerifyEngine, CollectsFindingsAcrossPasses) {
   // One mutation visible to shapes AND gradients: both report, neither
-  // aborts the other — the collect-all contract the old validate() lacked.
+  // aborts the other — the collect-all contract.
   Mlp m;
   ir::build_training_step(m.g, m.loss);
   m.w1->set_shape({Expr(8), Expr(15)});
@@ -119,15 +120,15 @@ TEST(VerifyEngine, JsonOutputIsWellFormedEnough) {
   }
 }
 
-// --- compat shim -----------------------------------------------------------
+// --- validate_or_throw -----------------------------------------------------
 
-TEST(VerifyShim, ValidateThrowsListingAllErrors) {
+TEST(ValidateOrThrow, ThrowsListingAllErrors) {
   Mlp m;
   m.g.make_tensor("orphan1", {Expr(2)}, DataType::kFloat32, ir::TensorRole::kActivation);
   m.g.make_tensor("orphan2", {Expr(3)}, DataType::kFloat32, ir::TensorRole::kActivation);
   try {
-    m.g.validate();
-    FAIL() << "validate() must throw";
+    validate_or_throw(m.g);
+    FAIL() << "validate_or_throw() must throw";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("orphan1"), std::string::npos);
@@ -135,10 +136,22 @@ TEST(VerifyShim, ValidateThrowsListingAllErrors) {
   }
 }
 
-TEST(VerifyShim, ValidateAcceptsCleanGraph) {
+TEST(ValidateOrThrow, AcceptsCleanGraph) {
   Mlp m;
   ir::build_training_step(m.g, m.loss);
-  EXPECT_NO_THROW(m.g.validate());
+  EXPECT_NO_THROW(validate_or_throw(m.g));
+}
+
+TEST(ValidateOrThrow, RunsOnlyTheSelectedPasses) {
+  // A seeded defect only the range pass catches: the four passes a model
+  // build runs let it through, the full suite (the default) throws.
+  std::ifstream in(std::string(GF_TEST_DATA_DIR) + "/lint/range__scale_overflow.txt");
+  ASSERT_TRUE(in.good());
+  const std::unique_ptr<Graph> g = ir::deserialize(in, /*validate=*/false);
+  EXPECT_NO_THROW(validate_or_throw(
+      *g, {.passes = {"structure", "shapes", "symbolic", "gradients"}}));
+  EXPECT_THROW(validate_or_throw(*g), std::logic_error);
+  EXPECT_THROW(validate_or_throw(*g, {.passes = {"range"}}), std::logic_error);
 }
 
 // --- structure -------------------------------------------------------------

@@ -32,8 +32,10 @@ int main() {
   cases.push_back({"ResNet-18",
                    models::build_resnet({.depth = 18, .image_size = 32, .classes = 10}),
                    8, 2});
-  // Unfused, so both columns describe the graph as built. The allocator
-  // peak is the static memory plan's: persistent state plus the slab.
+  // Unfused. The estimate describes the graph as built; the allocator
+  // peak is the static memory plan's (persistent state plus the slab) for
+  // the graph the executor runs, whose recurrent weight gradients are
+  // stacked into one GEMM each.
   rt::ExecutorOptions opt;
   opt.fuse = false;
   for (auto& c : cases) {

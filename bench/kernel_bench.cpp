@@ -1,8 +1,8 @@
 // Kernel-layer microbenchmark: blocked GEMM / conv kernels vs the retained
 // reference implementations, validated against the paper's cache model.
 //
-// Five sections. Sections 1-3 and 5 go to BENCH_kernels.json, section 4
-// to BENCH_codegen.json:
+// Six sections. Sections 1-3, 5 and 6 go to BENCH_kernels.json, section
+// 4 to BENCH_codegen.json:
 //
 //  1. GEMM sweep over shapes drawn from the paper's models (word-LM
 //     projection, NMT attention/recurrent, ResNet im2col shapes) plus the
@@ -34,6 +34,13 @@
 //     host's single-thread copy bandwidth (rt::measure_copy_bandwidth).
 //     Each output must be bitwise-equal to the per-element loop kept
 //     here, smoke included; GB/s is reported, not gated.
+//  6. One word_lm layer's recurrent weight gradient (z [b, 256], dgates
+//     [b, 512], T = 20; smaller under --smoke) at b = 2 on one thread and
+//     b = 16 on three: T GEMMs with K = b plus T-1 adds, in us, against
+//     the stacked form ir::stack_weight_gradients produces (2 Concats and
+//     one GEMM with K = T*b). The stacked result must lie within the
+//     (T*b+2)*2^-24*sum|z*dg| bound of a double-precision sum, smoke
+//     included; times are reported, not gated.
 //
 // Flags: --smoke (tiny shapes, 1 rep — CI), --threads N, --out PATH,
 // --codegen-out PATH.
@@ -45,6 +52,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/concurrency/thread_pool.h"
@@ -648,6 +656,91 @@ std::vector<ElementResult> bench_element_kernels(conc::ThreadPool& pool, bool sm
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Section 6: one recurrent layer's weight gradient, per timestep vs stacked.
+// ---------------------------------------------------------------------------
+
+struct StackResult {
+  std::string label;
+  std::int64_t b = 0, steps = 0;
+  std::size_t threads = 0;
+  double per_timestep_us = 0;     // T GEMMs with K = b, then T-1 adds
+  double stacked_us = 0;          // 2 Concats, then one GEMM with K = T·b
+  double speedup = 0;
+  double max_err_over_bound = 0;  // stacked vs a double sum; must be <= 1
+};
+
+/// The weight gradient Σ_t z_tᵀ·dgates_t of one layer, z_t [b, zc] and
+/// dgates_t [b, gc], both ways on the executor's kernels and a pool of
+/// `threads` (ir::stack_weight_gradients is the graph rewrite between
+/// them). The stacked result is gated on the blocked GEMM's fp32 contract
+/// with k = T·b against the exact sum in double.
+StackResult bench_stacking(const std::string& label, std::int64_t b, std::size_t threads,
+                           std::int64_t zc, std::int64_t gc, std::int64_t steps, int reps,
+                           int iters) {
+  conc::ThreadPool pool(threads);
+  const auto t_count = static_cast<std::size_t>(steps);
+  std::vector<rt::DenseTensor> z, dg, prod;
+  std::vector<const rt::DenseTensor*> z_parts, dg_parts;
+  for (std::size_t t = 0; t < t_count; ++t) {
+    z.push_back(random_tensor({b, zc}, 200 + 2 * static_cast<std::uint32_t>(t)));
+    dg.push_back(random_tensor({b, gc}, 201 + 2 * static_cast<std::uint32_t>(t)));
+    prod.emplace_back(std::vector<std::int64_t>{zc, gc}, ir::DataType::kFloat32);
+  }
+  for (std::size_t t = 0; t < t_count; ++t) {  // once z and dg stop growing
+    z_parts.push_back(&z[t]);
+    dg_parts.push_back(&dg[t]);
+  }
+  rt::DenseTensor acc({zc, gc}, ir::DataType::kFloat32);
+  rt::DenseTensor z_all({steps * b, zc}, ir::DataType::kFloat32);
+  rt::DenseTensor dg_all({steps * b, gc}, ir::DataType::kFloat32);
+  rt::DenseTensor stacked({zc, gc}, ir::DataType::kFloat32);
+  rt::KernelStats st;
+  const auto per_timestep = [&] {
+    for (std::size_t t = 0; t < t_count; ++t)
+      rt::matmul(z[t], dg[t], prod[t], true, false, pool, st);
+    rt::pointwise(ir::PointwiseFn::kAdd, {&prod[0], &prod[1]}, 1.0, acc, pool, st);
+    for (std::size_t t = 2; t < t_count; ++t)
+      rt::pointwise(ir::PointwiseFn::kAdd, {&acc, &prod[t]}, 1.0, acc, pool, st);
+  };
+  const auto stacked_gemm = [&] {
+    rt::concat(z_parts, 0, z_all, pool, st);
+    rt::concat(dg_parts, 0, dg_all, pool, st);
+    rt::matmul(z_all, dg_all, stacked, true, false, pool, st);
+  };
+  per_timestep();
+  stacked_gemm();
+
+  StackResult r;
+  r.label = label;
+  r.b = b;
+  r.steps = steps;
+  r.threads = threads;
+  r.per_timestep_us = time_best(reps, [&] {
+                        for (int i = 0; i < iters; ++i) per_timestep();
+                      }) / iters * 1e6;
+  r.stacked_us = time_best(reps, [&] {
+                   for (int i = 0; i < iters; ++i) stacked_gemm();
+                 }) / iters * 1e6;
+  r.speedup = r.per_timestep_us / r.stacked_us;
+
+  const double unit = static_cast<double>(steps * b + 2) * std::ldexp(1.0, -24);
+  for (std::int64_t i = 0; i < zc; ++i)
+    for (std::int64_t j = 0; j < gc; ++j) {
+      double exact = 0, magnitude = 0;
+      for (std::size_t t = 0; t < t_count; ++t)
+        for (std::int64_t p = 0; p < b; ++p) {
+          const double term =
+              static_cast<double>(z[t].fdata()[p * zc + i]) * dg[t].fdata()[p * gc + j];
+          exact += term;
+          magnitude += std::abs(term);
+        }
+      const double err = std::abs(stacked.fdata()[i * gc + j] - exact);
+      if (err > 0) r.max_err_over_bound = std::max(r.max_err_over_bound, err / (unit * magnitude));
+    }
+  return r;
+}
+
 void write_codegen_json(const std::string& path, std::size_t threads,
                         const std::vector<ChainResult>& chains,
                         const UkrResult& ukr, bool speedup_gate_ok) {
@@ -679,7 +772,8 @@ void write_json(const std::string& path, std::size_t threads,
                 const std::vector<GemmResult>& gemms,
                 const std::vector<ConvResult>& convs,
                 const std::vector<TrafficPoint>& traffic, bool traffic_trend_ok,
-                const std::vector<ElementResult>& elements, double copy_bandwidth) {
+                const std::vector<ElementResult>& elements, double copy_bandwidth,
+                const std::vector<StackResult>& stacking) {
   util::Json gemm_rows = util::Json::array();
   for (const GemmResult& r : gemms)
     gemm_rows.push_back(util::Json::object(
@@ -706,12 +800,19 @@ void write_json(const std::string& path, std::size_t threads,
     element_rows.push_back(util::Json::object(
         {{"label", r.label}, {"shape", r.shape}, {"us_per_call", r.us_per_call},
          {"gbytes_per_s", r.gbytes_per_s}, {"bitwise_ok", r.bitwise_ok}}));
+  util::Json stacking_rows = util::Json::array();
+  for (const StackResult& r : stacking)
+    stacking_rows.push_back(util::Json::object(
+        {{"label", r.label}, {"b", r.b}, {"steps", r.steps}, {"threads", r.threads},
+         {"per_timestep_us", r.per_timestep_us}, {"stacked_us", r.stacked_us},
+         {"speedup", r.speedup}, {"max_err_over_bound", r.max_err_over_bound}}));
   const util::Json doc = util::Json::object(
       {{"threads", threads}, {"model_cache_bytes", rt::kGemmModelCacheBytes},
        {"gemm", gemm_rows}, {"conv", conv_rows}, {"traffic_sweep", traffic_rows},
        {"traffic_trend_matches_model", traffic_trend_ok},
        {"element_kernels", element_rows},
-       {"copy_bandwidth_gbytes_per_s", copy_bandwidth / 1e9}});
+       {"copy_bandwidth_gbytes_per_s", copy_bandwidth / 1e9},
+       {"weight_gradient_stacking", stacking_rows}});
   std::ofstream(path) << doc.dump() << "\n";
 }
 
@@ -884,8 +985,34 @@ int main(int argc, char** argv) {
             << util::format_sig(copy_bandwidth / 1e9, 3) << " GB/s, one thread) ==\n";
   element_table.print(std::cout);
 
+  // Section 6: one word_lm layer's weight gradient (z [b, 256], dgates
+  // [b, 512], T = 20) per timestep vs stacked, at train_lstm_dp2's
+  // micro-step (b = 2, one thread) and train_lstm's step (b = 16, three).
+  const std::int64_t stack_h = smoke ? 32 : 128, stack_steps = smoke ? 5 : 20;
+  std::vector<StackResult> stacking;
+  for (const auto& [b, stack_threads] :
+       {std::pair<std::int64_t, std::size_t>{2, 1}, {16, 3}})
+    stacking.push_back(bench_stacking("b" + std::to_string(b) + "_t" +
+                                          std::to_string(stack_threads),
+                                      b, stack_threads, 2 * stack_h, 4 * stack_h,
+                                      stack_steps, reps, smoke ? 2 : 20));
+  util::Table stack_table({"shape", "threads", "T GEMMs + adds us", "stacked us", "speedup",
+                           "err/bound"});
+  for (const StackResult& r : stacking) {
+    const bool bound_ok = r.max_err_over_bound <= 1.0;
+    ok = ok && bound_ok;
+    stack_table.add_row({"z " + std::to_string(r.b) + "x" + std::to_string(2 * stack_h) +
+                             ", T = " + std::to_string(r.steps),
+                         std::to_string(r.threads), util::format_sig(r.per_timestep_us, 3),
+                         util::format_sig(r.stacked_us, 3), util::format_sig(r.speedup, 3),
+                         util::format_sig(r.max_err_over_bound, 3) +
+                             (bound_ok ? "" : " FAIL")});
+  }
+  std::cout << "\n== recurrent weight gradient: per timestep vs stacked (K = T*b) ==\n";
+  stack_table.print(std::cout);
+
   write_json(out_path, threads, gemms, convs, traffic, traffic_trend_ok, elements,
-             copy_bandwidth);
+             copy_bandwidth, stacking);
   std::cout << "wrote " << out_path << "\n";
   write_codegen_json(codegen_out_path, threads, chains, ukr, speedup_gate_ok);
   std::cout << "wrote " << codegen_out_path << "\n";

@@ -24,11 +24,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/concurrency/thread_pool.h"
 #include "src/ir/footprint.h"
+#include "src/ir/gradients.h"
+#include "src/ir/serialize.h"
 #include "src/models/models.h"
 #include "src/runtime/executor.h"
 #include "src/util/format.h"
@@ -155,16 +159,22 @@ CaseResult run_case(const ModelCase& c, conc::ThreadPool& pool, int reps) {
 
   // The same step count on an executor that retains every tensor: its plan
   // shares no storage, so it is the reference for "slab reuse, aliasing
-  // and reuse-edge scheduling do not change bits".
-  rt::Executor unshared(*c.spec.graph, bind, opt);
-  for (const auto& t : c.spec.graph->tensors()) unshared.retain(t.get());
+  // and reuse-edge scheduling do not change bits". Executors stack weight
+  // gradients on their clone, so it gets a graph already stacked (the
+  // rewrite is idempotent), whose every tensor it can retain.
+  std::unordered_map<const ir::Tensor*, ir::Tensor*> clones;
+  const std::unique_ptr<ir::Graph> stacked = ir::clone_graph(*c.spec.graph, &clones);
+  ir::stack_weight_gradients(*stacked);
+  rt::Executor unshared(*stacked, bind, opt);
+  for (const auto& t : stacked->tensors()) unshared.retain(t.get());
   for (int r = 0; r < 3 + reps; ++r) unshared.run_step();
 
   // O(1) heap allocations per step, bitwise-equal losses, and a slab that
   // costs no more arena than per-op liveness freeing (the topological
   // footprint) modulo alignment padding.
   res.allocs_o1 = res.allocs_per_step <= 2;
-  res.loss_bitwise = loss_bits(ex, c.spec.loss) == loss_bits(unshared, c.spec.loss);
+  res.loss_bitwise =
+      loss_bits(ex, c.spec.loss) == loss_bits(unshared, clones.at(c.spec.loss));
   res.peak_ok = static_cast<double>(res.peak_bytes) <=
                 res.footprint_bytes +
                     static_cast<double>(rt::kTensorAlignment * res.planned_tensors);

@@ -109,6 +109,7 @@ int main() {
     conc::ThreadPool pool(4);
     rt::ExecutorOptions opt;
     opt.pool = &pool;
+    opt.fuse = false;
     rt::Executor ex(*spec.graph, spec.bind(64, 8), opt);
     ex.run_step();  // warm up allocations and thread-local scratch
     const rt::ProfileReport report = ex.run_step();

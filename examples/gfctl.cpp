@@ -30,7 +30,9 @@
 //
 // Size flags (--params, --batch, --hidden, --from, --to, --bucket-kb) take
 // a finite positive number; anything else exits 1 naming the flag before
-// any model is built.
+// any model is built. So do the other number flags outside their ranges:
+// --overhead and --straggler (>= 0), --speedup (> 0), --memory-weight
+// (in [0, 1]).
 //
 // cpu prints the probed SIMD capabilities of the executing machine, the
 // compiled ISA the runtime runs, and the GEMM register micro-tile each ISA
@@ -68,10 +70,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,14 +91,16 @@ namespace {
 
 using namespace gf;
 
+/// Whole-text decimal parse of a finite number; false on anything else
+/// (trailing characters, nan, inf, out of range).
+bool parse_finite(const std::string& text, double& value) {
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  return ec == std::errc() && end == text.data() + text.size() && std::isfinite(value);
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
-
-  double number(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-  }
 
   /// A size flag: a finite positive number. Anything else throws, so
   /// main() exits 1 naming the flag before any model is built. Empty when
@@ -104,14 +108,32 @@ struct Args {
   std::optional<double> size(const std::string& key) const {
     auto it = flags.find(key);
     if (it == flags.end()) return std::nullopt;
-    const std::string& text = it->second;
     double value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value) ||
-        !(value > 0))
+    if (!parse_finite(it->second, value) || !(value > 0))
       throw std::invalid_argument("--" + key + " must be a finite positive number, got '" +
-                                  text + "'");
+                                  it->second + "'");
     return value;
+  }
+
+  /// A bounded number flag: finite, at least `min` (above it when
+  /// `above_min`) and at most `max`. Anything else throws naming the flag
+  /// and its range, so main() exits 1 before any trace, model or pool is
+  /// touched.
+  double bounded(const std::string& key, double fallback, double min, double max,
+                 bool above_min = false) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    double value = 0;
+    if (parse_finite(it->second, value) && (above_min ? value > min : value >= min) &&
+        value <= max)
+      return value;
+    std::ostringstream range;
+    if (std::isinf(max))
+      range << (above_min ? "> " : ">= ") << min;
+    else
+      range << "in [" << min << ", " << max << "]";
+    throw std::invalid_argument("--" + key + " must be a finite number " + range.str() +
+                                ", got '" + it->second + "'");
   }
 
   /// A count flag: a whole decimal number of at least `min`. Anything else
@@ -490,15 +512,20 @@ int cmd_fuse(const Args& args) {
 int cmd_whatif(const Args& args) {
   if (args.positional.size() < 2)
     throw std::invalid_argument("whatif needs a trace file: gfctl whatif <trace.json>");
-  const whatif::Trace trace = load_trace_or_throw(args.positional[1]);
   const bool json = args.flags.count("json") != 0;
   const int workers = args.count("workers", 0, 0);
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  const double overhead = args.bounded("overhead", 0, 0, kUnbounded);
+  const double class_speedup =
+      args.bounded("speedup", 2.0, 0, kUnbounded, /*above_min=*/true);
+  whatif::FuseModelOptions fuse_opt;
+  fuse_opt.memory_weight = args.bounded("memory-weight", fuse_opt.memory_weight, 0, 1);
+  const whatif::Trace trace = load_trace_or_throw(args.positional[1]);
 
   whatif::ResimOptions opt;
-  if (auto it = args.flags.find("overhead"); it != args.flags.end())
-    opt.overhead_seconds_per_op = args.number("overhead", 0);
-  else
-    opt.overhead_seconds_per_op = whatif::calibrate_overhead(trace);
+  opt.overhead_seconds_per_op = args.flags.count("overhead") != 0
+                                    ? overhead
+                                    : whatif::calibrate_overhead(trace);
   const whatif::ResimResult baseline = whatif::resimulate(trace, opt);
 
   // Transforms compose in a fixed order: kernel-class scaling, dtype
@@ -509,7 +536,7 @@ int cmd_whatif(const Args& args) {
   if (auto it = args.flags.find("scale"); it != args.flags.end()) {
     whatif::ScaleClass scale;
     scale.op_type = it->second;
-    scale.speedup = args.number("speedup", 2.0);
+    scale.speedup = class_speedup;
     t = whatif::scale_kernel_class(t, scale);
     transforms.push_back("scale " + scale.op_type + " by " +
                          util::format_sig(scale.speedup, 3) + "x");
@@ -529,8 +556,6 @@ int cmd_whatif(const Args& args) {
     const auto spec = analysis::stages::build_stage(model_it->second);
     const auto bind = spec.bind(hidden, batch);
     const auto groups = whatif::plan_fusion_groups(*spec.graph, bind, t);
-    whatif::FuseModelOptions fuse_opt;
-    fuse_opt.memory_weight = args.number("memory-weight", fuse_opt.memory_weight);
     t = whatif::fuse_groups(t, groups, fuse_opt);
     transforms.push_back("fuse " + std::to_string(groups.size()) + " groups (" +
                          model_it->second + ")");
@@ -681,8 +706,9 @@ int cmd_datapar(const Args& args) {
   const auto threads = static_cast<std::size_t>(args.count("threads", 1, 0));
   const int steps = args.count("steps", 3, 1);
   const double bucket_kb = args.size("bucket-kb").value_or(64);
+  const double sigma =
+      args.bounded("straggler", 0, 0, std::numeric_limits<double>::infinity());
   const auto spec = analysis::stages::build_stage(domain);
-  const double sigma = args.number("straggler", 0);
   const auto bind = spec.bind(hidden, batch);
 
   const double copy_bw = rt::measure_copy_bandwidth();

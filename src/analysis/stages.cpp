@@ -3,8 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/ir/gradients.h"
-#include "src/ir/serialize.h"
 #include "src/symbolic/sexpr.h"
 
 namespace gf::analysis::stages {
@@ -57,19 +55,6 @@ const std::vector<std::string>& builtin_families() {
   static const std::vector<std::string> kFamilies = {
       "wordlm", "charlm", "nmt", "speech", "image", "transformer"};
   return kFamilies;
-}
-
-std::size_t autodiff_stage(ir::Graph& graph, ir::Tensor* loss,
-                           ir::Optimizer optimizer) {
-  return ir::build_training_step(graph, loss, {.optimizer = optimizer}).ops_added;
-}
-
-FuseOutput fuse_stage(const ir::Graph& graph) {
-  std::unique_ptr<ir::Graph> clone = ir::clone_graph(graph);
-  FuseOutput out;
-  out.result = ir::fuse_graph(*clone);
-  out.graph = std::move(clone);
-  return out;
 }
 
 CountResult count_stage(const ir::Graph& graph) {

@@ -1,8 +1,8 @@
 // The analysis pipeline as explicit pure stages.
 //
 // ModelAnalyzer historically fused the whole characterization pipeline —
-// build the training graph, append gradients, fuse, sum the symbolic
-// totals, evaluate at a binding — into one constructor-plus-methods blob.
+// build the training graph, sum the symbolic totals, evaluate at a
+// binding — into one constructor-plus-methods blob.
 // That shape is fine for a one-shot CLI run but wrong for a service: the
 // stages have wildly different costs (graph build and symbolic counting
 // are seconds; evaluating the counted expressions at one more binding is
@@ -14,8 +14,6 @@
 // This header names the stages and their serializable boundary types:
 //
 //   build    family name              -> training-step ModelSpec
-//   autodiff forward graph + loss     -> training-step graph (in place)
-//   fuse     graph                    -> rewritten clone + FusionResult
 //   count    graph                    -> CountResult (symbolic totals)
 //   project  CountResult x binding    -> Projection (concrete numbers)
 //
@@ -28,12 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/ir/footprint.h"
-#include "src/ir/fusion.h"
 #include "src/ir/graph.h"
 #include "src/models/models.h"
 #include "src/symbolic/expr.h"
@@ -71,21 +67,6 @@ models::ModelSpec build_stage(const std::string& family);
 
 /// Family names build_stage accepts, in canonical order.
 const std::vector<std::string>& builtin_families();
-
-/// autodiff: appends backward + optimizer-update ops for `loss` in place
-/// (the build stage already ran this for built-in families; exposed for
-/// forward graphs submitted over the wire). Returns ops added.
-std::size_t autodiff_stage(ir::Graph& graph, ir::Tensor* loss,
-                           ir::Optimizer optimizer = ir::Optimizer::kSGD);
-
-/// fuse: clones `graph` and rewrites the clone (GEMM epilogues +
-/// pointwise chains). The input graph is untouched — stages never mutate
-/// their cached inputs.
-struct FuseOutput {
-  std::shared_ptr<const ir::Graph> graph;
-  ir::FusionResult result;
-};
-FuseOutput fuse_stage(const ir::Graph& graph);
 
 /// count: sums the graph's per-op symbolic FLOP/byte formulas and the
 /// trainable-parameter total. Pure, and about half of build_stage on charlm

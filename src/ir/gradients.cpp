@@ -1,6 +1,7 @@
 #include "src/ir/gradients.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -15,7 +16,104 @@ Tensor* finalize(Graph& g, const std::string& name, std::vector<Tensor*>& contri
   return add_n(g, name, contributions);
 }
 
+bool is_binary_add(const Op* op) {
+  return op != nullptr && op->type() == OpType::kPointwise && op->inputs().size() == 2 &&
+         static_cast<const PointwiseOp*>(op)->fn() == PointwiseFn::kAdd;
+}
+
+/// One weight gradient's add tree: its Adds (root first) and its MatMul
+/// leaves in left-to-right order.
+struct AddTree {
+  std::vector<Op*> adds;
+  std::vector<MatMulOp*> leaves;
+};
+
+/// The add tree producing `gw`, if it has the form stack_weight_gradients
+/// rewrites. A binary tree has at least two leaves, so an Add root
+/// guarantees the "two or more products" condition.
+std::optional<AddTree> match_add_tree(const Tensor* gw) {
+  Op* root = const_cast<Op*>(gw->producer());
+  if (!is_binary_add(root)) return std::nullopt;
+  AddTree tree;
+  tree.adds.push_back(root);
+  // Explicit stack, right operand pushed first: a left fold T deep is walked
+  // left to right without T nested frames.
+  std::vector<const Tensor*> pending{root->input(1), root->input(0)};
+  while (!pending.empty()) {
+    const Tensor* t = pending.back();
+    pending.pop_back();
+    if (t->role() != TensorRole::kActivation || t->consumers().size() != 1)
+      return std::nullopt;
+    Op* p = const_cast<Op*>(t->producer());
+    if (is_binary_add(p)) {
+      tree.adds.push_back(p);
+      pending.push_back(p->input(1));
+      pending.push_back(p->input(0));
+      continue;
+    }
+    if (p == nullptr || p->type() != OpType::kMatMul) return std::nullopt;
+    auto* mm = static_cast<MatMulOp*>(p);
+    if (!mm->trans_a() || mm->trans_b() || mm->has_epilogue() ||
+        mm->input(0)->shape().rank() != 2 || mm->input(1)->shape().rank() != 2 ||
+        mm->input(0)->dtype() != gw->dtype() || mm->input(1)->dtype() != gw->dtype() ||
+        !t->shape().equals(gw->shape()))
+      return std::nullopt;
+    tree.leaves.push_back(mm);
+  }
+  return tree;
+}
+
+/// Replaces `tree` with Concat, Concat, MatMul adopting `gw`, placed where
+/// the root Add was.
+void stack_tree(Graph& g, Tensor* gw, const AddTree& tree) {
+  const Op* root = tree.adds.front();
+  std::vector<Tensor*> a_parts, b_parts;
+  a_parts.reserve(tree.leaves.size());
+  b_parts.reserve(tree.leaves.size());
+  for (const MatMulOp* leaf : tree.leaves) {
+    a_parts.push_back(leaf->input(0));
+    b_parts.push_back(leaf->input(1));
+  }
+  Tensor* a = concat(g, root->name() + ":stack_a", a_parts, 0);
+  Tensor* b = concat(g, root->name() + ":stack_b", b_parts, 0);
+  auto* mm = g.add_op<MatMulOp>(root->name() + ":stack", a, b, true, false);
+  Tensor* own_out = mm->output(0);
+  mm->adopt_result(gw);
+  g.remove_tensor(own_out);
+  for (const Op* op : {a->producer(), b->producer(), static_cast<const Op*>(mm)})
+    g.move_op_before(op, root);
+
+  // Only the leaves read tensors that survive; every tensor the Adds read
+  // is a leaf or interior output, and those go with their producers.
+  for (MatMulOp* leaf : tree.leaves)
+    for (Tensor* t : leaf->inputs()) t->remove_consumer(leaf);
+  for (MatMulOp* leaf : tree.leaves) {
+    g.remove_tensor(leaf->output(0));
+    g.remove_op(leaf);
+  }
+  for (Op* add : tree.adds) {
+    if (add != root) g.remove_tensor(add->output(0));
+    g.remove_op(add);
+  }
+}
+
 }  // namespace
+
+std::size_t stack_weight_gradients(Graph& graph) {
+  std::vector<Tensor*> grads;
+  for (const auto& t : graph.tensors())
+    if (t->role() == TensorRole::kWeightGradient) grads.push_back(t.get());
+  // Trees are disjoint (every tensor in one has a single consumer inside
+  // it), so rewriting one leaves the others' matches intact.
+  std::size_t stacked = 0;
+  for (Tensor* gw : grads) {
+    const std::optional<AddTree> tree = match_add_tree(gw);
+    if (!tree) continue;
+    stack_tree(graph, gw, *tree);
+    ++stacked;
+  }
+  return stacked;
+}
 
 TrainingStepResult build_training_step(Graph& graph, Tensor* loss,
                                        const TrainingStepOptions& options) {
@@ -47,7 +145,9 @@ TrainingStepResult build_training_step(Graph& graph, Tensor* loss,
   // one weight-gradient contribution per timestep, and deferring their sum
   // to a single terminal AddN would keep every contribution live at once
   // (hundreds of GB at projected sizes). Pairwise accumulation mirrors the
-  // incremental aggregation real frameworks perform.
+  // incremental aggregation real frameworks perform. The executor runs
+  // stack_weight_gradients on its clone to turn a chain of per-timestep
+  // MatMul products back into one GEMM.
   auto accumulate = [&](Tensor* target, Tensor* grad) {
     auto& list = contributions[target];
     list.push_back(grad);

@@ -74,17 +74,23 @@ void MatMulOp::fuse_epilogue(Tensor* bias, PointwiseFn activation, Tensor* adopt
   require(bias != nullptr || activation != PointwiseFn::kIdentity, name(),
           "epilogue must fold a bias or an activation");
   require(adopted_output != nullptr, name(), "null adopted output");
-  require(adopted_output->shape().equals(output(0)->shape()), name(),
-          "adopted output shape must match the GEMM output");
-  if (bias != nullptr) {
+  if (bias != nullptr)
     require(bias->shape().rank() == 1 && bias->shape().dim(0).equals(n_), name(),
             "epilogue bias must be rank-1 of length N");
+  adopt_result(adopted_output);
+  if (bias != nullptr) {
     bind_input(bias);
     epilogue_bias_ = true;
   }
   epilogue_activation_ = activation;
+}
+
+void MatMulOp::adopt_result(Tensor* adopted) {
+  require(adopted != nullptr, name(), "null adopted output");
+  require(adopted->shape().equals(output(0)->shape()), name(),
+          "adopted output shape must match the GEMM output");
   drop_output(0);
-  adopt_output(adopted_output);
+  adopt_output(adopted);
 }
 
 void MatMulOp::restore_epilogue(Tensor* bias, PointwiseFn activation) {

@@ -75,6 +75,12 @@ class MatMulOp final : public Op {
   /// must remove from the graph along with the folded ops.
   void fuse_epilogue(Tensor* bias, PointwiseFn activation, Tensor* adopted_output);
 
+  /// Takes over `adopted` (shaped like the GEMM output) in place of the
+  /// op's own ":out" tensor, which the caller must remove from the graph.
+  /// Rewrite-pass hook: fuse_epilogue adopts its chain's final tensor, and
+  /// ir::stack_weight_gradients adopts the weight gradient it recomputes.
+  void adopt_result(Tensor* adopted);
+
   /// Deserialization-side variant of fuse_epilogue(): restores the
   /// epilogue state on a freshly constructed op, keeping the op's own
   /// output tensor (the loader has no folded chain to adopt from).

@@ -704,7 +704,7 @@ void DataParallelRunner::apply_updates(int w) {
   }
 }
 
-ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) const {
+ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) {
   // Lane layout: worker w's executor events keep their relative lanes
   // inside block [w*(T+1), (w+1)*(T+1)) where T = threads_per_worker, and
   // each worker's ring events get a dedicated comm lane after all compute
@@ -713,65 +713,69 @@ ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) const {
   const int n = options_.workers;
   const int lane_width = static_cast<int>(options_.threads_per_worker) + 1;
 
+  // Every event's deps are first rewritten to positions in `events`, then
+  // to the re-sorted indices, in its own vector: the workers' events are
+  // moved, not copied (step() has read what it needs from the micro-step
+  // reports, and the next step clears them). `events` is sized up front:
+  // reallocating it as it grew cost more than the rest of the merge.
   std::vector<TimelineEvent> events;
-  std::vector<std::vector<std::size_t>> deps_pos;  // deps as positions into `events`
+  std::size_t total_events = 0;
+  for (const auto& wk : workers_) {
+    total_events += wk->ring_events.size();
+    for (const ProfileReport& rep : wk->micro_reports) total_events += rep.timeline.size();
+  }
+  events.reserve(total_events);
   // pos_of[w][m][op_index] -> position; ring_pos[w][2b + phase] -> position.
   std::vector<std::vector<std::vector<std::size_t>>> pos_of(
       static_cast<std::size_t>(n));
   std::vector<std::vector<std::size_t>> ring_pos(static_cast<std::size_t>(n));
 
   for (int w = 0; w < n; ++w) {
-    const Worker& wk = *workers_[static_cast<std::size_t>(w)];
+    Worker& wk = *workers_[static_cast<std::size_t>(w)];
     pos_of[static_cast<std::size_t>(w)].resize(wk.micro_reports.size());
     for (std::size_t m = 0; m < wk.micro_reports.size(); ++m) {
-      const ProfileReport& rep = wk.micro_reports[m];
+      ProfileReport& rep = wk.micro_reports[m];
       const double offset = wk.micro_start[m];
       auto& positions = pos_of[static_cast<std::size_t>(w)][m];
       positions.resize(rep.timeline.size());
-      for (const TimelineEvent& e : rep.timeline) {
-        TimelineEvent ev = e;
+      for (TimelineEvent& ev : rep.timeline) {
         ev.start_seconds += offset;
         ev.end_seconds += offset;
-        ev.worker = w * lane_width + (e.worker + 1);
-        positions[e.op_index] = events.size();
-        std::vector<std::size_t> deps;
-        deps.reserve(e.deps.size() + 1);
-        for (std::size_t d : e.deps) deps.push_back(positions[d]);
+        ev.worker = w * lane_width + (ev.worker + 1);
+        positions[ev.op_index] = events.size();
+        const bool root = ev.deps.empty();
+        for (std::size_t& d : ev.deps) d = positions[d];
         // Micro-steps are sequential on a worker: root ops of step m
         // causally follow the last op of step m-1.
-        if (e.deps.empty() && m > 0) {
+        if (root && m > 0) {
           const auto& prev = pos_of[static_cast<std::size_t>(w)][m - 1];
-          if (!prev.empty()) deps.push_back(prev.back());
+          if (!prev.empty()) ev.deps.push_back(prev.back());
         }
-        ev.deps.clear();
         events.push_back(std::move(ev));
-        deps_pos.push_back(std::move(deps));
       }
     }
     for (std::size_t r = 0; r < wk.ring_events.size(); ++r) {
-      TimelineEvent ev = wk.ring_events[r];
+      TimelineEvent ev = std::move(wk.ring_events[r]);
       ev.worker = n * lane_width + w;
       const std::size_t b = r / 2;
-      std::vector<std::size_t> deps;
       if (r % 2 == 0) {
         // Reduce-scatter waits on the bucket's gradient producers in the
         // last micro-step, and on this worker's previous ring phase.
         if (!pos_of[static_cast<std::size_t>(w)].empty()) {
           const auto& last = pos_of[static_cast<std::size_t>(w)].back();
           for (std::size_t p : wk.bucket_producer_indices[b])
-            if (p < last.size()) deps.push_back(last[p]);
+            if (p < last.size()) ev.deps.push_back(last[p]);
         }
-        if (r > 0) deps.push_back(ring_pos[static_cast<std::size_t>(w)][r - 1]);
+        if (r > 0) ev.deps.push_back(ring_pos[static_cast<std::size_t>(w)][r - 1]);
       } else {
         // Allgather reads every owner's reduced chunk: it waits on the
         // bucket's reduce-scatter phase on all workers that recorded one.
         for (int p = 0; p < n; ++p)
           if (r - 1 < ring_pos[static_cast<std::size_t>(p)].size())
-            deps.push_back(ring_pos[static_cast<std::size_t>(p)][r - 1]);
+            ev.deps.push_back(ring_pos[static_cast<std::size_t>(p)][r - 1]);
       }
       ring_pos[static_cast<std::size_t>(w)].push_back(events.size());
       events.push_back(std::move(ev));
-      deps_pos.push_back(std::move(deps));
     }
   }
 
@@ -796,9 +800,10 @@ ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) const {
   for (std::size_t i = 0; i < order.size(); ++i) {
     TimelineEvent ev = std::move(events[order[i]]);
     ev.op_index = i;
-    ev.deps.clear();
-    for (std::size_t d : deps_pos[order[i]])
-      if (new_index[d] < i) ev.deps.push_back(new_index[d]);
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < ev.deps.size(); ++j)
+      if (new_index[ev.deps[j]] < i) ev.deps[kept++] = new_index[ev.deps[j]];
+    ev.deps.resize(kept);
     std::sort(ev.deps.begin(), ev.deps.end());
     ev.deps.erase(std::unique(ev.deps.begin(), ev.deps.end()), ev.deps.end());
     if (ev.category.empty())

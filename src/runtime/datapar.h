@@ -211,7 +211,8 @@ class DataParallelRunner {
   void ring_bucket(int w, std::size_t b);
   void apply_updates(int w);
   void note_error(std::exception_ptr error) noexcept;
-  ProfileReport merge_timeline(double wall_seconds) const;
+  /// Consumes the workers' micro-step timelines and ring events.
+  ProfileReport merge_timeline(double wall_seconds);
 
   DataParallelOptions options_;
   const ir::Graph* graph_ = nullptr;

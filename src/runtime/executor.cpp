@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -11,6 +12,7 @@
 
 #include <sanitizer/asan_interface.h>
 
+#include "src/ir/gradients.h"
 #include "src/ir/serialize.h"
 #include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/kernels.h"
@@ -55,26 +57,25 @@ bool fuse_env_default() { return true; }
 bool simd_env_default() { return true; }
 
 Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptions options)
-    : graph_(&graph), bindings_(std::move(bindings)), options_(options),
+    : bindings_(std::move(bindings)), options_(options),
       pool_(options.pool ? options.pool : &conc::ThreadPool::global()) {
-  // Opt-in pre-dispatch verification: a graph that fails here would make
-  // the wavefront schedule racy or the kernels read out of bounds.
-  if (options_.verify) verify::validate_or_throw(graph);
-  if (options_.fuse) {
-    // Rewrite a clone, never the caller's graph. clone_graph keeps the
-    // original tensor ids, so the per-tensor RNG streams — and with them
-    // every step result — are bitwise-identical to the unfused run.
-    std::unordered_map<const ir::Tensor*, ir::Tensor*> clones;
-    fused_graph_ = ir::clone_graph(graph, &clones);
-    fusion_ = ir::fuse_graph(*fused_graph_);
-    std::unordered_set<const ir::Tensor*> surviving;
-    surviving.reserve(fused_graph_->tensors().size());
-    for (const auto& t : fused_graph_->tensors()) surviving.insert(t.get());
-    for (const auto& [orig, copy] : clones)
-      if (surviving.contains(copy)) remap_.emplace(orig, copy);
-    graph_ = fused_graph_.get();
-    if (options_.verify) verify::validate_or_throw(*graph_);
-  }
+  // Rewrite a clone, never the caller's graph. clone_graph keeps the
+  // original tensor ids, so the per-tensor RNG streams — and with them
+  // every step result — do not depend on which rewrites ran. Stacking runs
+  // whether or not fusion does, so fused and unfused steps share its bits.
+  std::unordered_map<const ir::Tensor*, ir::Tensor*> clones;
+  graph_ = ir::clone_graph(graph, &clones);
+  ir::stack_weight_gradients(*graph_);
+  if (options_.fuse) fusion_ = ir::fuse_graph(*graph_);
+  std::unordered_set<const ir::Tensor*> surviving;
+  surviving.reserve(graph_->tensors().size());
+  for (const auto& t : graph_->tensors()) surviving.insert(t.get());
+  for (const auto& [orig, copy] : clones)
+    if (surviving.contains(copy)) remap_.emplace(orig, copy);
+  // Opt-in pre-dispatch verification of the graph that will run: one that
+  // fails here would make the wavefront schedule racy or the kernels read
+  // out of bounds.
+  if (options_.verify) verify::validate_or_throw(*graph_);
   dag_ = ir::build_op_dag(*graph_);
   // Compile every fused program once; steps only run the stored form.
   fused_kernels_.resize(dag_.order.size());
@@ -124,13 +125,13 @@ void Executor::random_fill(const ir::Tensor* tensor, DenseTensor& value) {
 }
 
 const ir::Tensor* Executor::map_tensor(const ir::Tensor* tensor) const {
-  if (!options_.fuse) return tensor;
   auto it = remap_.find(tensor);
   if (it == remap_.end())
     throw std::invalid_argument(
         "tensor '" + tensor->name() +
-        "' was eliminated by fusion (ExecutorOptions::fuse); only "
-        "surviving tensors are addressable");
+        "' was eliminated by the executor's graph rewrites (weight-gradient "
+        "stacking, and fusion under ExecutorOptions::fuse); only surviving "
+        "tensors are addressable");
   return it->second;
 }
 
@@ -203,6 +204,23 @@ void Executor::build_plan() {
                                                     slab_.get() + pt.offset));
   poison_slab();
 
+  // Producerless slab tensors get the same values every step: the fill is
+  // keyed by (seed, tensor id) only. Compute them once per plan.
+  step_fills_.clear();
+  for (const auto& t : graph_->tensors()) {
+    if (t->producer() != nullptr || t->is_persistent() || pinned_inputs_.contains(t.get()))
+      continue;
+    const PlannedTensor* pt = plan.find(t.get());
+    StepFill fill{slab_.get() + pt->offset, pt->bytes,
+                  DenseTensor(shapes_.at(t.get()), t->dtype())};
+    if (t->role() == ir::TensorRole::kGradient) {
+      for (std::int64_t i = 0; i < fill.value.numel(); ++i) fill.value.f(i) = 1.0f;
+    } else {
+      random_fill(t.get(), fill.value);
+    }
+    step_fills_.push_back(std::move(fill));
+  }
+
   // Both schedules must also respect the plan's reuse edges: an op that
   // first writes a reused slab range may not run until every accessor of
   // the range's previous occupant retired.
@@ -243,19 +261,11 @@ void Executor::poison_slab() {
 }
 
 void Executor::prepare_step() {
-  // Fill producerless tensors: inputs (pinned or random) and gradient
-  // seeds (ones).
-  for (const auto& t : graph_->tensors()) {
-    if (t->producer() != nullptr || t->is_persistent()) continue;
-    if (t->role() == ir::TensorRole::kInput && pinned_inputs_.contains(t.get())) continue;
-    const PlannedTensor* pt = plan_->find(t.get());
-    ASAN_UNPOISON_MEMORY_REGION(slab_.get() + pt->offset, pt->bytes);
-    DenseTensor& v = transient_.at(t.get());
-    if (t->role() == ir::TensorRole::kGradient) {
-      for (std::int64_t i = 0; i < v.numel(); ++i) v.f(i) = 1.0f;
-    } else {
-      random_fill(t.get(), v);
-    }
+  for (const StepFill& fill : step_fills_) {
+    ASAN_UNPOISON_MEMORY_REGION(fill.slab, fill.bytes);
+    const void* src = fill.value.is_float() ? static_cast<const void*>(fill.value.fdata())
+                                            : static_cast<const void*>(fill.value.idata());
+    std::memcpy(fill.slab, src, fill.bytes);
   }
 }
 

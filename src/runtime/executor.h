@@ -1,5 +1,12 @@
 // Graph executor: runs one training step of a bound graph numerically.
 //
+// The executor runs its own clone of the caller's graph (tensor ids kept),
+// rewritten once at construction: ir::stack_weight_gradients turns each
+// recurrent weight's per-timestep gradient GEMMs and their add chain into
+// one GEMM with K = T·b, then ir::fuse_graph runs if ExecutorOptions::fuse
+// is set. Callers keep addressing tensors of their own graph; the executor
+// translates them.
+//
 // Weights, weight gradients and optimizer slots persist across steps (so
 // repeated run_step() calls really train). Every other tensor lives at a
 // fixed offset in one slab laid out by the static memory plan
@@ -28,8 +35,10 @@
 // Results are bitwise-deterministic and schedule/thread-count independent:
 // every tensor is filled from its own RNG stream keyed by tensor id, each
 // kernel writes disjoint output locations with a fixed intra-op reduction
-// order, gradient accumulation order is fixed by graph structure (pairwise
-// adds), and profile totals are folded in topological order after the step.
+// order, gradient accumulation order is fixed by the rewritten graph's
+// structure (one GEMM's k order for a stacked weight, the autodiff add
+// chain otherwise), and profile totals are folded in topological order
+// after the step.
 #pragma once
 
 #include <functional>
@@ -79,19 +88,17 @@ struct ExecutorOptions {
   bool apply_updates = true;
   conc::ThreadPool* pool = nullptr;  ///< defaults to the global pool
   Schedule schedule = Schedule::kWavefront;
-  /// Debug mode: run the full verify:: pass suite (structure, shapes,
-  /// symbolic, gradients, races) over the graph before anything is
-  /// dispatched, and throw std::logic_error on error-severity findings.
+  /// Debug mode: run the full verify:: pass suite over the rewritten
+  /// clone the executor will run, before anything is dispatched, and
+  /// throw std::logic_error on error-severity findings.
   /// Off by default — verification is O(graph) per Executor, and built-in
   /// models are already linted in CI.
   bool verify = false;
-  /// Graph-level op fusion (src/ir/fusion.h): the executor clones the
-  /// graph (original tensor ids preserved, so RNG streams — and therefore
-  /// all results — stay bitwise-identical), rewrites the clone, and runs
-  /// that. Public APIs keep accepting original-graph tensors; asking for a
-  /// fused-away intermediate throws std::invalid_argument. False runs the
-  /// caller's graph as built: the what-if workflow profiles that unfused
-  /// step to predict what fusion buys.
+  /// Graph-level op fusion (src/ir/fusion.h) on the executor's clone,
+  /// after weight-gradient stacking. Fusion keeps every bit, so this
+  /// selects speed only; asking for a fused-away intermediate throws
+  /// std::invalid_argument. False runs the stacked clone unfused: the
+  /// what-if workflow profiles that step to predict what fusion buys.
   bool fuse = true;
   /// Completion hook: called once per executed op, after its kernel
   /// finished writing the op's outputs, from the thread that ran the
@@ -128,8 +135,8 @@ class Executor {
   void set_input(const ir::Tensor* tensor, DenseTensor value);
 
   /// Keeps the named activation's value available after run_step(), from
-  /// the next step on. Under fusion the tensor must have survived the
-  /// rewrite (fused-away intermediates throw std::invalid_argument).
+  /// the next step on. The tensor must have survived the executor's
+  /// rewrites (eliminated intermediates throw std::invalid_argument).
   void retain(const ir::Tensor* tensor);
 
   /// The memory plan the last step ran under, or nullptr before the first
@@ -148,9 +155,10 @@ class Executor {
   /// ops are drained first).
   ProfileReport run_step();
 
-  /// The graph the executor actually runs: the fused clone when
-  /// options.fuse is set, the caller's graph otherwise. Lets benchmarks
-  /// evaluate the rewritten graph's symbolic FLOP/byte formulas.
+  /// The graph the executor actually runs: its clone of the caller's
+  /// graph after weight-gradient stacking and, when options.fuse is set,
+  /// fusion. Lets benchmarks evaluate the rewritten graph's symbolic
+  /// FLOP/byte formulas.
   const ir::Graph& executing_graph() const { return *graph_; }
 
   /// Rewrite statistics, or nullptr when fusion is off.
@@ -159,9 +167,9 @@ class Executor {
   }
 
   /// Translates a caller's (original-graph) tensor into the executing
-  /// graph's — identity when fusion is off. Use it to key lookups into
-  /// memory_plan() or executing_graph(). Throws std::invalid_argument for
-  /// tensors the rewrite eliminated.
+  /// graph's. Use it to key lookups into memory_plan() or
+  /// executing_graph(). Throws std::invalid_argument for tensors the
+  /// rewrites eliminated.
   const ir::Tensor* resolve(const ir::Tensor* tensor) const { return map_tensor(tensor); }
 
  private:
@@ -193,6 +201,13 @@ class Executor {
     /// outputs are never zeroed — their storage IS the op's live input.
     std::vector<DenseTensor*> zero_first;
   };
+  /// A producerless slab tensor (unpinned input or gradient seed) and the
+  /// value prepare_step copies into its planned extent every step.
+  struct StepFill {
+    unsigned char* slab = nullptr;
+    std::size_t bytes = 0;
+    DenseTensor value;
+  };
   /// Per-op result slot; each op writes only its own (disjoint) slot, and
   /// run_step folds slots into the report in topological order so totals
   /// are independent of retirement order.
@@ -204,14 +219,14 @@ class Executor {
   };
 
   /// Translates a caller-facing (original-graph) tensor to the executing
-  /// graph's. Identity when fusion is off; throws std::invalid_argument
-  /// for tensors the rewrite eliminated.
+  /// graph's; throws std::invalid_argument for tensors the rewrites
+  /// eliminated.
   const ir::Tensor* map_tensor(const ir::Tensor* tensor) const;
   void random_fill(const ir::Tensor* tensor, DenseTensor& value);
   DenseTensor& storage(const ir::Tensor* tensor);
 
-  /// Fills producerless tensors (inputs, gradient seeds) — the common step
-  /// prologue for both schedules.
+  /// Copies the step fills into the slab — the common step prologue for
+  /// both schedules.
   void prepare_step();
   void execute_resolved(const ResolvedOp& r, KernelStats& stats);
   /// (Re)builds the memory plan, the slab with one view per planned
@@ -224,14 +239,13 @@ class Executor {
   ProfileReport run_step_wavefront();
   ProfileReport fold_report(const std::vector<OpSlot>& slots, double wall_seconds) const;
 
-  const ir::Graph* graph_;
   sym::Bindings bindings_;
   ExecutorOptions options_;
   conc::ThreadPool* pool_;
-  /// Fusion state (set only when options_.fuse): the rewritten clone the
-  /// executor runs, its rewrite stats, and original -> clone translation
-  /// for every surviving tensor.
-  std::unique_ptr<ir::Graph> fused_graph_;
+  /// The rewritten clone the executor runs, its fusion stats (empty when
+  /// fusion is off), and original -> clone translation for every
+  /// surviving tensor.
+  std::unique_ptr<ir::Graph> graph_;
   ir::FusionResult fusion_;
   std::unordered_map<const ir::Tensor*, const ir::Tensor*> remap_;
   ir::OpDag dag_;
@@ -257,6 +271,8 @@ class Executor {
   std::vector<std::size_t> planned_predecessor_count_;
   /// Indexed like dag_.order.
   std::vector<ResolvedOp> resolved_;
+  /// Built with the plan: every producerless slab tensor's fill.
+  std::vector<StepFill> step_fills_;
 };
 
 }  // namespace gf::rt

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/ir/fusion.h"
+#include "src/ir/gradients.h"
 #include "src/ir/op.h"
 #include "src/ir/serialize.h"
 
@@ -161,9 +162,14 @@ Trace fuse_groups(const Trace& trace, const std::vector<FuseGroup>& groups,
   return out;
 }
 
-std::vector<FuseGroup> plan_fusion_groups(const ir::Graph& graph,
+std::vector<FuseGroup> plan_fusion_groups(const ir::Graph& builder_graph,
                                           const sym::Bindings& bind,
                                           const Trace& trace) {
+  // An unfused executor runs the stacked graph, so that is what the trace
+  // profiled: match against a stacked clone, and fuse a clone of that.
+  const std::unique_ptr<ir::Graph> stacked = ir::clone_graph(builder_graph);
+  ir::stack_weight_gradients(*stacked);
+  const ir::Graph& graph = *stacked;
   const std::vector<const ir::Op*> topo = graph.topological_order();
   if (trace.ops.size() != topo.size())
     throw std::invalid_argument(
@@ -177,11 +183,11 @@ std::vector<FuseGroup> plan_fusion_groups(const ir::Graph& graph,
                                   topo[i]->name() +
                                   "' — the trace was not profiled from this graph");
 
-  // Fuse a clone (tensor ids preserved) and map each original op to the
-  // fused-graph op that now produces its work: unchanged ops map to their
-  // own clone; absorbed ops follow their (single-consumer) output chain in
-  // the ORIGINAL graph until a tensor whose id survived fusion — its
-  // producer in the fused graph is the fused node. Walking the original
+  // Fuse a clone (tensor ids preserved) and map each stacked-graph op to
+  // the fused-graph op that now produces its work: unchanged ops map to
+  // their own clone; absorbed ops follow their (single-consumer) output
+  // chain in the STACKED graph until a tensor whose id survived fusion —
+  // its producer in the fused graph is the fused node. Walking the stacked
   // graph keyed by id avoids touching clone tensors the rewrite destroyed.
   const std::unique_ptr<ir::Graph> fused = ir::clone_graph(graph);
   ir::fuse_graph(*fused);

@@ -78,11 +78,14 @@ Trace switch_dtype_traffic(const Trace& trace, const DtypeOptions& options = {})
 Trace fuse_groups(const Trace& trace, const std::vector<FuseGroup>& groups,
                   const FuseModelOptions& options = {});
 
-/// Plans the fusion groups `ir::fuse_graph` would form on `graph`, as trace
-/// indices into `trace` — which must be an unfused profile of `graph`
-/// (op names are cross-checked; throws std::invalid_argument otherwise).
-/// Works on a clone; `graph` itself is never modified. Group FLOPs/bytes
-/// are the fused ops' symbolic formulas evaluated under `bind`.
+/// Plans the fusion groups `ir::fuse_graph` would form on the graph an
+/// unfused executor of `graph` runs, as trace indices into `trace` — which
+/// must be an unfused profile of `graph`. `graph` is the builder's graph:
+/// like the executor, the planner matches the trace against a clone
+/// rewritten by ir::stack_weight_gradients (op names are cross-checked;
+/// throws std::invalid_argument otherwise) and fuses a clone of that;
+/// `graph` itself is never modified. Group FLOPs/bytes are the fused ops'
+/// symbolic formulas evaluated under `bind`.
 std::vector<FuseGroup> plan_fusion_groups(const ir::Graph& graph,
                                           const sym::Bindings& bind,
                                           const Trace& trace);

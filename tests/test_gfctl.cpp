@@ -1,8 +1,9 @@
-// gfctl's count and size flags, driven through the binary: a count that is
-// not a whole number, is negative, or asks for zero steps, and a size that
-// is not a finite positive number, exits 1 before any model or thread pool
-// is built, and writes no output file. Only values rejected before a pool
-// exists are tested here.
+// gfctl's count, size and bounded number flags, driven through the
+// binary: a count that is not a whole number, is negative, or asks for
+// zero steps, a size that is not a finite positive number, and a number
+// outside its flag's range, exits 1 before any trace, model or thread pool
+// is touched, and writes no output file. Only values rejected before a
+// pool exists are tested here.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -70,6 +71,36 @@ TEST(GfctlArgs, SizeFlagsMustBeFinitePositiveNumbers) {
                        " must be a finite positive number, got '" + c.value + "'\n")
         << args;
   }
+}
+
+TEST(GfctlArgs, NumberFlagsMustLieInTheirRanges) {
+  // The trace path does not exist: range checks run before it is read.
+  const std::string missing = scratch_path("missing.json").string();
+  fs::remove(missing);
+  const std::string whatif = "whatif " + missing;
+  struct Case {
+    std::string command;
+    const char* flag;
+    const char* value;
+    const char* range;
+  };
+  for (const Case& c : {Case{whatif, "overhead", "nan", ">= 0"},
+                        Case{whatif, "overhead", "-1e-6", ">= 0"},
+                        Case{whatif + " --scale MatMul", "speedup", "0", "> 0"},
+                        Case{whatif + " --scale MatMul", "speedup", "inf", "> 0"},
+                        Case{whatif, "memory-weight", "1.5", "in [0, 1]"},
+                        Case{whatif, "memory-weight", "-0.1", "in [0, 1]"},
+                        Case{"datapar", "straggler", "nan", ">= 0"},
+                        Case{"datapar", "straggler", "-0.5", ">= 0"}}) {
+    const std::string args = c.command + " --" + c.flag + " " + c.value;
+    std::string err;
+    EXPECT_EQ(run_gfctl(args, &err), 1) << args;
+    EXPECT_EQ(err, std::string("gfctl: --") + c.flag + " must be a finite number " +
+                       c.range + ", got '" + c.value + "'\n")
+        << args;
+  }
+  // In-range values pass the checks and reach the trace read (exit 2).
+  EXPECT_EQ(run_gfctl(whatif + " --overhead 0 --speedup 0.5 --memory-weight 1"), 2);
 }
 
 TEST(GfctlArgs, DataparRejectsZeroSteps) {

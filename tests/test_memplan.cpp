@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <unordered_map>
 
 #include "src/concurrency/thread_pool.h"
 #include "src/ir/footprint.h"
@@ -305,13 +307,20 @@ void retain_everything(Executor& ex, const Graph& graph) {
 
 std::uint32_t loss_bits_after_steps(const models::ModelSpec& spec, double hidden,
                                     bool share_nothing, std::size_t threads, int steps) {
+  // Executors stack weight gradients on their clone. Hand them a graph
+  // already stacked (the rewrite is idempotent), so every tensor they run
+  // can be retained through it.
+  std::unordered_map<const Tensor*, Tensor*> clones;
+  const std::unique_ptr<Graph> graph = ir::clone_graph(*spec.graph, &clones);
+  ir::stack_weight_gradients(*graph);
+  const Tensor* loss = clones.at(spec.loss);
   conc::ThreadPool pool(threads);
   ExecutorOptions opt;
   opt.pool = &pool;
   opt.fuse = false;
-  Executor ex(*spec.graph, spec.bind(hidden, 2), opt);
-  ex.retain(spec.loss);
-  if (share_nothing) retain_everything(ex, *spec.graph);
+  Executor ex(*graph, spec.bind(hidden, 2), opt);
+  ex.retain(loss);
+  if (share_nothing) retain_everything(ex, *graph);
   for (int i = 0; i < steps; ++i) ex.run_step();
   if (share_nothing) {
     const MemoryPlan* plan = ex.memory_plan();
@@ -320,7 +329,7 @@ std::uint32_t loss_bits_after_steps(const models::ModelSpec& spec, double hidden
     EXPECT_EQ(plan->slab_bytes, plan->gross_bytes);
   }
   std::uint32_t bits = 0;
-  std::memcpy(&bits, ex.value(spec.loss).fdata(), sizeof(float));
+  std::memcpy(&bits, ex.value(loss).fdata(), sizeof(float));
   return bits;
 }
 

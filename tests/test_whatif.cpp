@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 
 #include "src/concurrency/thread_pool.h"
 #include "src/ir/fusion.h"
+#include "src/ir/gradients.h"
 #include "src/ir/graph.h"
 #include "src/ir/serialize.h"
 #include "src/models/models.h"
@@ -395,19 +397,29 @@ TEST(WhatifLoader, ChromeTraceBytesArePinned) {
 
 // --- profiler dep edges vs the scheduler DAG --------------------------------
 
+/// A clone of `graph` with its weight gradients stacked: the graph an
+/// unfused executor runs, so every tensor of it is addressable and its op
+/// DAG is the executed one (executors re-run the idempotent rewrite).
+std::unique_ptr<ir::Graph> stacked_clone(const ir::Graph& graph) {
+  std::unique_ptr<ir::Graph> clone = ir::clone_graph(graph);
+  ir::stack_weight_gradients(*clone);
+  return clone;
+}
+
 TEST(WhatifDeps, TimelineEdgesMatchOpDag) {
   // An executor that retains every tensor plans no slab reuse, so the
   // exported deps are exactly the op DAG's edges.
   const ModelCase c = builtin_models().front();
   const sym::Bindings bind = c.spec.bind(c.hidden, 2);
+  const std::unique_ptr<ir::Graph> graph = stacked_clone(*c.spec.graph);
   rt::ExecutorOptions opt;
   opt.schedule = rt::Schedule::kSequential;
   opt.fuse = false;
-  rt::Executor ex(*c.spec.graph, bind, opt);
-  for (const auto& t : c.spec.graph->tensors()) ex.retain(t.get());
+  rt::Executor ex(*graph, bind, opt);
+  for (const auto& t : graph->tensors()) ex.retain(t.get());
   const rt::ProfileReport report = ex.run_step();
   ASSERT_TRUE(ex.memory_plan()->reuse_edges.empty());
-  const ir::OpDag dag = ir::build_op_dag(*c.spec.graph);
+  const ir::OpDag dag = ir::build_op_dag(*graph);
   ASSERT_EQ(report.timeline.size(), dag.order.size());
 
   // Invert the DAG's successor lists into per-op predecessor lists.
@@ -428,14 +440,15 @@ TEST(WhatifDeps, MemoryPlanAddsOnlyExtraEdges) {
   // plan's reuse edges — a superset per op, never a replacement.
   const ModelCase c = builtin_models().front();
   const sym::Bindings bind = c.spec.bind(c.hidden, 2);
+  const std::unique_ptr<ir::Graph> graph = stacked_clone(*c.spec.graph);
   rt::ExecutorOptions opt;
   opt.schedule = rt::Schedule::kSequential;
   opt.fuse = false;
-  rt::Executor ex(*c.spec.graph, bind, opt);
+  rt::Executor ex(*graph, bind, opt);
   const rt::ProfileReport planned = ex.run_step();
   const rt::MemoryPlan& plan = *ex.memory_plan();
   ASSERT_FALSE(plan.reuse_edges.empty());
-  const ir::OpDag dag = ir::build_op_dag(*c.spec.graph);
+  const ir::OpDag dag = ir::build_op_dag(*graph);
   ASSERT_EQ(planned.timeline.size(), dag.order.size());
 
   std::vector<std::vector<std::size_t>> want(dag.order.size());
@@ -767,8 +780,9 @@ TEST(WhatifPlan, MatchesFuseGraphOnEveryBuiltinModel) {
     ASSERT_FALSE(groups.empty()) << c.name;
     const whatif::Trace fused_trace = whatif::fuse_groups(trace, groups);
 
-    // Ground truth: the real rewrite on a clone.
-    const std::unique_ptr<ir::Graph> clone = ir::clone_graph(*c.spec.graph);
+    // Ground truth: the executor's rewrites on a clone, stacking then
+    // fusion.
+    const std::unique_ptr<ir::Graph> clone = stacked_clone(*c.spec.graph);
     ir::fuse_graph(*clone);
     EXPECT_EQ(fused_trace.ops.size(), clone->num_ops())
         << c.name << ": predicted fused node count differs from fuse_graph";

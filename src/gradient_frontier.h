@@ -18,7 +18,8 @@
 //   gf::plan      allreduce, data/layer parallelism, Table-5 case study
 //   gf::verify    static-analysis passes (lint) over the graph IR
 //   gf::rt        numeric executor + TFprof-style profiler
-//   gf::whatif    Daydream-style what-if trace re-simulation
+//   gf::whatif    Daydream-style what-if trace re-simulation, and the §6
+//                 cluster schedules (ring, sync-SGD, pipeline) as traces
 //   gf::serve     multi-tenant analysis service + content-addressed cache
 #pragma once
 
@@ -52,6 +53,7 @@
 #include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/verify/pass.h"
+#include "src/whatif/cluster.h"
 #include "src/whatif/resim.h"
 #include "src/whatif/trace.h"
 #include "src/whatif/transform.h"

@@ -1,20 +1,86 @@
 #include "src/whatif/resim.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <queue>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace gf::whatif {
 namespace {
 
-/// Forward adjacency (successor lists) from the trace's dep lists.
-std::vector<std::vector<std::size_t>> successors_of(const Trace& trace) {
-  std::vector<std::vector<std::size_t>> succ(trace.ops.size());
-  for (std::size_t i = 0; i < trace.ops.size(); ++i)
-    for (std::size_t d : trace.ops[i].deps) succ[d].push_back(i);
+/// Successor lists in CSR form: op i's successors are of(i), ascending.
+struct Successors {
+  std::vector<std::size_t> offsets;  ///< n + 1 entries
+  std::vector<std::size_t> targets;
+
+  std::span<const std::size_t> of(std::size_t i) const {
+    return {targets.data() + offsets[i], targets.data() + offsets[i + 1]};
+  }
+};
+
+Successors successors_of(const Trace& trace) {
+  const std::size_t n = trace.ops.size();
+  Successors succ;
+  // Count each op's successors, turn the counts into range ends, then
+  // fill every range back to front: visiting ops in descending index
+  // leaves each range ascending and each offset at its range's start.
+  succ.offsets.assign(n + 1, 0);
+  for (const TraceOp& op : trace.ops)
+    for (std::size_t d : op.deps) ++succ.offsets[d];
+  for (std::size_t i = 1; i <= n; ++i) succ.offsets[i] += succ.offsets[i - 1];
+  succ.targets.resize(succ.offsets[n]);
+  for (std::size_t i = n; i-- > 0;)
+    for (std::size_t d : trace.ops[i].deps) succ.targets[--succ.offsets[d]] = i;
   return succ;
+}
+
+/// Recorded lanes with dense ids, numbered in order of first appearance
+/// (replay does not depend on lane order): lane l holds
+/// ops[begin[l] .. begin[l + 1]) in recorded order, by start with ties by
+/// op index (the executor's dispatch order).
+struct Lanes {
+  std::vector<std::size_t> begin;  ///< lane count + 1 entries
+  std::vector<std::size_t> ops;
+  std::vector<std::size_t> lane_of;  ///< indexed by op
+};
+
+Lanes lanes_of(const Trace& trace) {
+  const std::size_t n = trace.ops.size();
+  Lanes lanes;
+  lanes.lane_of.resize(n);
+  std::unordered_map<int, std::size_t> lane_id;
+  for (std::size_t i = 0; i < n; ++i)
+    lanes.lane_of[i] = lane_id.try_emplace(trace.ops[i].worker, lane_id.size()).first->second;
+
+  // A stable counting sort groups the ops by lane in index order, noting
+  // which lanes are out of start order on the way.
+  const std::size_t num_lanes = lane_id.size();
+  lanes.begin.assign(num_lanes + 1, 0);
+  for (std::size_t l : lanes.lane_of) ++lanes.begin[l + 1];
+  for (std::size_t l = 0; l < num_lanes; ++l) lanes.begin[l + 1] += lanes.begin[l];
+  std::vector<std::size_t> next(lanes.begin.begin(), lanes.begin.end() - 1);
+  std::vector<double> last_start(num_lanes, -std::numeric_limits<double>::infinity());
+  std::vector<char> unsorted(num_lanes, 0);
+  lanes.ops.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t l = lanes.lane_of[i];
+    const double start = trace.ops[i].start_seconds;
+    if (start < last_start[l]) unsorted[l] = 1;
+    last_start[l] = start;
+    lanes.ops[next[l]++] = i;
+  }
+  for (std::size_t l = 0; l < num_lanes; ++l) {
+    if (unsorted[l] == 0) continue;
+    std::stable_sort(lanes.ops.begin() + static_cast<std::ptrdiff_t>(lanes.begin[l]),
+                     lanes.ops.begin() + static_cast<std::ptrdiff_t>(lanes.begin[l + 1]),
+                     [&](std::size_t a, std::size_t b) {
+                       return trace.ops[a].start_seconds < trace.ops[b].start_seconds;
+                     });
+  }
+  return lanes;
 }
 
 /// Longest dependency chain by simulated duration; fills result.critical_*.
@@ -47,60 +113,37 @@ void compute_critical_path(const Trace& trace, const std::vector<double>& durati
 void simulate_recorded(const Trace& trace, const std::vector<double>& durations,
                        ResimResult& result) {
   const std::size_t n = trace.ops.size();
-  const auto succ = successors_of(trace);
+  const Successors succ = successors_of(trace);
+  const Lanes lanes = lanes_of(trace);
+  const std::size_t num_lanes = lanes.begin.size() - 1;
 
-  // Lane queues ordered by recorded start (ties by op index, which is the
-  // dispatch order the executor used).
-  std::map<int, std::vector<std::size_t>> lanes;
-  for (std::size_t i = 0; i < n; ++i) lanes[trace.ops[i].worker].push_back(i);
-  for (auto& [worker, queue] : lanes)
-    std::sort(queue.begin(), queue.end(), [&](std::size_t a, std::size_t b) {
-      if (trace.ops[a].start_seconds != trace.ops[b].start_seconds)
-        return trace.ops[a].start_seconds < trace.ops[b].start_seconds;
-      return a < b;
-    });
-
-  std::vector<std::size_t> lane_of(n), pos_in_lane(n);
-  std::vector<std::size_t> heads(lanes.size(), 0);
-  std::vector<double> lane_free(lanes.size(), 0);
-  std::vector<std::vector<std::size_t>*> queues;
-  queues.reserve(lanes.size());
-  for (auto& [worker, queue] : lanes) {
-    for (std::size_t p = 0; p < queue.size(); ++p) {
-      lane_of[queue[p]] = queues.size();
-      pos_in_lane[queue[p]] = p;
-    }
-    queues.push_back(&queue);
-  }
-
+  // head[l]: position in lanes.ops of lane l's next op to run.
+  std::vector<std::size_t> head(lanes.begin.begin(), lanes.begin.end() - 1);
+  std::vector<double> lane_free(num_lanes, 0);
   std::vector<std::size_t> pending(n);
   std::vector<double> ready_at(n, 0);
-  std::vector<char> scheduled(n, 0);
   for (std::size_t i = 0; i < n; ++i) pending[i] = trace.ops[i].deps.size();
 
   std::vector<std::size_t> runnable;  // deps done AND at lane head
   auto consider = [&](std::size_t i) {
-    if (scheduled[i] == 0 && pending[i] == 0 &&
-        heads[lane_of[i]] == pos_in_lane[i])
+    const std::size_t l = lanes.lane_of[i];
+    if (pending[i] == 0 && head[l] < lanes.begin[l + 1] && lanes.ops[head[l]] == i)
       runnable.push_back(i);
   };
-  for (std::size_t l = 0; l < queues.size(); ++l)
-    if (!queues[l]->empty()) consider(queues[l]->front());
+  for (std::size_t l = 0; l < num_lanes; ++l) consider(lanes.ops[head[l]]);
 
   std::size_t done = 0;
   while (!runnable.empty()) {
     const std::size_t i = runnable.back();
     runnable.pop_back();
-    const std::size_t l = lane_of[i];
+    const std::size_t l = lanes.lane_of[i];
     const double start = std::max(lane_free[l], ready_at[i]);
     const double end = start + durations[i];
     result.ops[i] = {start, end, trace.ops[i].worker};
-    scheduled[i] = 1;
     ++done;
     lane_free[l] = end;
-    ++heads[l];
-    if (heads[l] < queues[l]->size()) consider((*queues[l])[heads[l]]);
-    for (std::size_t s : succ[i]) {
+    if (++head[l] < lanes.begin[l + 1]) consider(lanes.ops[head[l]]);
+    for (std::size_t s : succ.of(i)) {
       ready_at[s] = std::max(ready_at[s], end);
       if (--pending[s] == 0) consider(s);
     }
@@ -108,7 +151,8 @@ void simulate_recorded(const Trace& trace, const std::vector<double>& durations,
   if (done != n)
     throw std::invalid_argument(
         "whatif resim: recorded lane order contradicts the dependency edges "
-        "(trace was not produced by one profiled step)");
+        "(neither one profiled step nor a cluster schedule built in lane order "
+        "records that)");
 }
 
 /// List scheduling onto `workers` identical lanes: whenever a lane is
@@ -117,7 +161,7 @@ void simulate_recorded(const Trace& trace, const std::vector<double>& durations,
 void simulate_greedy(const Trace& trace, const std::vector<double>& durations,
                      int workers, ResimResult& result) {
   const std::size_t n = trace.ops.size();
-  const auto succ = successors_of(trace);
+  const Successors succ = successors_of(trace);
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = trace.ops[i].deps.size();
 
@@ -150,7 +194,7 @@ void simulate_greedy(const Trace& trace, const std::vector<double>& durations,
       const std::size_t i = running.top().second;
       running.pop();
       idle.push(result.ops[i].worker);
-      for (std::size_t s : succ[i])
+      for (std::size_t s : succ.of(i))
         if (--pending[s] == 0) ready.push(s);
     }
   }

@@ -1,15 +1,20 @@
-// Pure schedule re-simulation over a loaded trace.
+// Pure schedule re-simulation over a trace: the repo's one
+// dependency-graph simulator.
 //
-// Replays the dependency graph of a profiled step under the wavefront
-// executor's dependency-counted semantics — without dispatching a single
-// kernel. Two placement policies:
+// Replays a dependency graph under the wavefront executor's
+// dependency-counted semantics, without dispatching a single kernel. The
+// graph is either a profiled step (from_report, load_trace) or a §6
+// cluster schedule whose lanes are devices and links (src/whatif/
+// cluster.h). Two placement policies:
 //
-//   - kRecorded: every op keeps its recorded worker lane and the recorded
-//     intra-lane order; an op starts when its lane is free AND all its
-//     dependencies finished. This is Daydream's replay rule: it preserves
-//     the measured schedule's shape, so transformed durations shift the
-//     timeline exactly as the real scheduler would have, and shrinking any
-//     duration can never lengthen the simulated step.
+//   - kRecorded: every op keeps its recorded lane and the recorded
+//     intra-lane order (by start, ties by op index); an op starts when its
+//     lane is free AND all its dependencies finished. This is Daydream's
+//     replay rule: it preserves the measured schedule's shape, so
+//     transformed durations shift the timeline exactly as the real
+//     scheduler would have, and shrinking any duration can never lengthen
+//     the simulated step. A cluster schedule records every op at t = 0,
+//     so each of its lanes runs in creation order.
 //   - kGreedy: list scheduling onto W identical lanes (ready ops dispatch
 //     in topological order to the lowest-numbered free lane) — the policy
 //     for what-ifs that change the worker count itself.
@@ -66,7 +71,8 @@ struct ResimResult {
 
 /// Re-simulates `trace` under `options`. Pure and deterministic: equal
 /// inputs produce bitwise-equal results, and nothing is executed. Throws
-/// std::invalid_argument on a structurally invalid trace.
+/// std::invalid_argument on a structurally invalid trace, or under
+/// kRecorded on a lane order that contradicts the dependency edges.
 ResimResult resimulate(const Trace& trace, const ResimOptions& options = {});
 
 /// The per-op scheduling surcharge (seconds) that makes the identity

@@ -146,12 +146,20 @@ Trace fuse_groups(const Trace& trace, const std::vector<FuseGroup>& groups,
     // dropped too: they are scheduling constraints of the PROFILED program
     // (e.g. the unfused memory plan's reuse edges, or a mid-group external
     // producer) that the hypothetical fused program — which would be
-    // re-scheduled and re-planned — does not inherit. Data edges between
-    // surviving nodes always stay backward, so none of those are lost.
+    // re-scheduled and re-planned — does not inherit. So are edges from a
+    // producer whose recorded start is later than the merged node's (its
+    // first member's): under the wavefront such a producer can run after
+    // that member, even on the same lane, so the edge ties the node to
+    // the profiled placement and would contradict the recorded lane order
+    // on replay. Every kept edge runs from an earlier (start, index) to a
+    // later one, as lane order does, so recorded replay cannot deadlock.
+    // Data edges between surviving ungrouped nodes keep both properties,
+    // so none of those are lost.
     TraceOp& node = out.ops[slot];
     for (std::size_t d : trace.ops[i].deps) {
       const std::size_t nd = new_index[d];
-      if (nd < slot) node.deps.push_back(nd);
+      if (nd < slot && out.ops[nd].start_seconds <= node.start_seconds)
+        node.deps.push_back(nd);
     }
   }
   for (TraceOp& op : out.ops) {

@@ -27,7 +27,11 @@
 //     traffic is saved) and the rest as retained per-element compute. The
 //     group's FLOPs are conserved and its bytes come from the fused op's
 //     symbolic bytes_accessed — the hypothetical kernel is priced off the
-//     same byte model the analytic pipeline uses.
+//     same byte model the analytic pipeline uses. A remapped edge survives
+//     only if it points backward in index and its source's recorded start
+//     is no later than its target's; the others are scheduling
+//     constraints of the profiled program, and keeping them could make the
+//     recorded lane order contradict the edges on replay.
 #pragma once
 
 #include <cstddef>

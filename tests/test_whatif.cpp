@@ -2,11 +2,14 @@
 // schedule numbers), writer -> loader fidelity, versioned-format rejection,
 // profiler dep-edge export vs the scheduler DAG, the identity property
 // (re-simulating an unmodified profile reproduces the measured span) across
-// every built-in model and thread count, schedule-theory properties on
-// randomized DAGs (Graham bounds, scale monotonicity), transform arithmetic
-// against hand-worked examples, fusion-group planning vs the real rewrite,
-// and the headline calibration gate: predicting the measured fusion win on
-// word_lm from an unfused profile within 15% relative step-time error.
+// every built-in model and thread count, rejection of bad hand-built
+// traces, schedule-theory properties on randomized DAGs (Graham bounds,
+// scale monotonicity, lane-label invariance), transform arithmetic
+// against hand-worked examples (including fusion on wavefront lane
+// orders), fusion-group planning vs the real rewrite, and the headline
+// calibration gate: predicting the measured fusion win on word_lm from an
+// unfused profile within 15% relative step-time error. The §6 cluster
+// schedules this engine also replays are tested in test_cluster.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -552,6 +555,28 @@ TEST(WhatifIdentity, ContradictoryLaneOrderIsRejected) {
       std::invalid_argument);
 }
 
+TEST(WhatifIdentity, RejectsNegativeDurationsAndForwardDeps) {
+  // A negative duration, or a dependency on an op that is not earlier in
+  // index order, is rejected under both placements before anything runs.
+  whatif::Trace negative;
+  negative.ops.resize(2);
+  negative.ops[0] = {"a", "compute", 0, 0, 1.0, 0, 0, {}};
+  negative.ops[1] = {"b", "compute", 0, 0, -1.0, 0, 0, {0}};
+  whatif::Trace self_dep;
+  self_dep.ops.resize(2);
+  self_dep.ops[0] = {"a", "compute", 0, 0, 1.0, 0, 0, {}};
+  self_dep.ops[1] = {"b", "compute", 1, 0, 1.0, 0, 0, {1}};
+  whatif::Trace later_dep = self_dep;
+  later_dep.ops[0].deps = {1};
+  later_dep.ops[1].deps = {};
+  whatif::ResimOptions greedy;
+  greedy.placement = whatif::Placement::kGreedy;
+  for (const whatif::Trace* bad : {&negative, &self_dep, &later_dep}) {
+    EXPECT_THROW(whatif::resimulate(*bad), std::invalid_argument);
+    EXPECT_THROW(whatif::resimulate(*bad, greedy), std::invalid_argument);
+  }
+}
+
 // --- schedule-theory properties on randomized DAGs --------------------------
 
 TEST(WhatifProperties, GrahamBoundsHoldOnRandomDags) {
@@ -626,6 +651,25 @@ TEST(WhatifProperties, SpeedingAKernelClassNeverHurtsRecordedReplay) {
         EXPECT_LE(whatif::resimulate(faster).makespan_seconds, base * (1 + 1e-12))
             << "seed " << seed << " class " << cls << " x" << speedup;
       }
+    }
+  }
+}
+
+TEST(WhatifProperties, RecordedReplayIgnoresLaneLabels) {
+  // Recorded replay only distinguishes lanes; their labels, sign and order
+  // do not matter. Lanes {-1, 7, 3} (-1 is the caller thread) replay
+  // exactly like the same trace on lanes {0, 1, 2}.
+  const int relabel[] = {-1, 7, 3};
+  for (const unsigned seed : {2u, 19u, 64u}) {
+    const whatif::Trace dense = random_trace(seed, 60, 3);
+    whatif::Trace sparse = dense;
+    for (whatif::TraceOp& op : sparse.ops) op.worker = relabel[op.worker];
+    const whatif::ResimResult a = whatif::resimulate(dense);
+    const whatif::ResimResult b = whatif::resimulate(sparse);
+    EXPECT_EQ(a.makespan_seconds, b.makespan_seconds) << "seed " << seed;
+    for (std::size_t i = 0; i < dense.ops.size(); ++i) {
+      EXPECT_EQ(a.ops[i].start_seconds, b.ops[i].start_seconds) << i;
+      EXPECT_EQ(b.ops[i].worker, sparse.ops[i].worker) << i;
     }
   }
 }
@@ -744,6 +788,44 @@ TEST(WhatifTransform, FuseDropsCarriedForwardEdges) {
   EXPECT_EQ(fused.ops[1].name, "mid");
   // mid's edge onto member 'a' points backward at the merged node and stays.
   EXPECT_EQ(fused.ops[1].deps, (std::vector<std::size_t>{0}));
+}
+
+TEST(WhatifTransform, FuseDropsEdgesFromLaterStartingProducers) {
+  // A wavefront lane order: 'a' ran first on lane 0, then 'x', and 'b' on
+  // lane 1 read both. Fusing {a, b} puts the node at a's slot (lane 0,
+  // t = 0); keeping the edge x -> node would make lane 0 wait on its own
+  // later op, so the edge is dropped and replay goes through.
+  whatif::Trace t;
+  t.ops.resize(3);
+  t.ops[0] = {"x", "Pointwise", 0, 1e-6, 2e-6, 10, 100, {}};
+  t.ops[1] = {"a", "Pointwise", 0, 0, 1e-6, 10, 100, {}};
+  t.ops[2] = {"b", "Pointwise", 1, 2e-6, 3e-6, 10, 100, {0, 1}};
+  whatif::FuseGroup group;
+  group.name = "ab";
+  group.members = {1, 2};
+  group.fused_flops = 20;
+  group.fused_bytes = 150;
+  const whatif::Trace fused = whatif::fuse_groups(t, {group});
+  ASSERT_EQ(fused.ops.size(), 2u);
+  EXPECT_EQ(fused.ops[1].name, "ab");
+  EXPECT_TRUE(fused.ops[1].deps.empty());
+  EXPECT_NO_THROW(whatif::resimulate(fused));
+}
+
+TEST(WhatifTransform, FusedWavefrontProfileReplays) {
+  // The documented `gfctl trace` then `gfctl whatif --fuse` flow on a
+  // wavefront profile: planning, contraction and recorded replay succeed.
+  const ModelCase c = builtin_models().front();
+  const sym::Bindings bind = c.spec.bind(c.hidden, 2);
+  conc::ThreadPool pool(3);
+  for (int run = 0; run < 3; ++run) {
+    const whatif::Trace trace = whatif::from_report(
+        profile_step(*c.spec.graph, bind, &pool, rt::Schedule::kWavefront));
+    const auto groups = whatif::plan_fusion_groups(*c.spec.graph, bind, trace);
+    ASSERT_FALSE(groups.empty());
+    const whatif::Trace fused = whatif::fuse_groups(trace, groups);
+    EXPECT_NO_THROW(whatif::resimulate(fused)) << "run " << run;
+  }
 }
 
 TEST(WhatifTransform, FuseGroupValidation) {

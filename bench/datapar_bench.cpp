@@ -7,8 +7,7 @@
 //   1. Bitwise worker-count independence: the step-loss bit pattern of
 //      every step must be identical for N ∈ {1, 2, 4, 8} (smoke: {1, 2, 4})
 //      — the runner's fixed-tree reduction contract, end to end.
-//   2. Analytic cross-check: total measured ring time (overlap off, so
-//      communication is unpolluted by compute skew) must lie within
+//   2. Analytic cross-check: total measured ring time must lie within
 //      kCommTolerance of the Patarasuk–Yuan prediction summed per bucket,
 //      with α calibrated from a measured N-thread barrier crossing and β
 //      from a measured large-copy bandwidth, derated by min(N, cores)/N:
@@ -26,8 +25,8 @@
 //      delays) — synchronous SGD pays the max, not the mean (§6.3).
 //
 // Also reported (not gated — wall-clock scaling flakes on shared CI
-// boxes): per-bucket achieved ring bandwidth, overlap-on step time, and
-// the measured-vs-predicted ratio per worker count in BENCH_datapar.json.
+// boxes): per-bucket achieved ring bandwidth and the measured-vs-predicted
+// ratio per worker count in BENCH_datapar.json.
 //
 // Flags: --smoke (smaller model, fewer reps — CI), --threads N (pool
 // threads per worker), --out PATH.
@@ -69,9 +68,8 @@ struct BucketRow {
 
 struct RunResult {
   int workers = 0;
-  double step_seconds = 0;          // best-of-reps wall time, overlap off
-  double overlap_step_seconds = 0;  // best-of-reps wall time, overlap on
-  double comm_seconds = 0;          // per-bucket ring time summed, at the best step
+  double step_seconds = 0;  // best-of-reps wall time
+  double comm_seconds = 0;  // per-bucket ring time summed, at the best step
   double predicted_comm_seconds = 0;
   double barrier_seconds = 0;
   std::vector<std::uint32_t> loss_bits;  // one per step, priming included
@@ -80,7 +78,7 @@ struct RunResult {
 
 RunResult run_config(const models::ModelSpec& spec, const sym::Bindings& bind,
                      int workers, std::size_t threads, std::size_t bucket_bytes,
-                     int reps, bool overlap, double straggler_sigma,
+                     int reps, double straggler_sigma,
                      double straggler_scale,
                      double* predicted_delay_bound = nullptr) {
   rt::DataParallelOptions opt;
@@ -88,7 +86,6 @@ RunResult run_config(const models::ModelSpec& spec, const sym::Bindings& bind,
   opt.grad_shards = kGradShards;
   opt.bucket_bytes = bucket_bytes;
   opt.threads_per_worker = threads;
-  opt.overlap = overlap;
   opt.straggler_sigma = straggler_sigma;
   opt.straggler_scale_seconds = straggler_scale;
   rt::DataParallelRunner runner(*spec.graph, spec.loss, bind, opt);
@@ -106,10 +103,10 @@ RunResult run_config(const models::ModelSpec& spec, const sym::Bindings& bind,
   RunResult res;
   res.workers = workers;
   res.step_seconds = 1e300;
-  for (int s = 0; s < 1 + reps; ++s) {  // step 0 primes (overlap off internally)
+  for (int s = 0; s < 1 + reps; ++s) {
     const rt::DataParallelStepResult step = runner.step();
     res.loss_bits.push_back(bits_of(step.loss));
-    if (s == 0) continue;  // priming step: cold arenas, no overlap — not timed
+    if (s == 0) continue;  // priming step: cold arenas — not timed
     res.step_seconds = std::min(res.step_seconds, step.wall_seconds);
     // Per-bucket best across steps: the ring does identical work every
     // step, so the minimum is the cleanest observation of its data
@@ -139,7 +136,6 @@ void write_json(const std::string& path, std::size_t threads, double copy_bandwi
                                             {"bandwidth_bytes_per_s", b.bandwidth}}));
     workers.push_back(util::Json::object(
         {{"workers", r.workers}, {"step_seconds", r.step_seconds},
-         {"overlap_step_seconds", r.overlap_step_seconds},
          {"comm_seconds", r.comm_seconds},
          {"predicted_comm_seconds", r.predicted_comm_seconds},
          {"comm_ratio", r.predicted_comm_seconds > 0
@@ -205,11 +201,7 @@ int main(int argc, char** argv) {
   const unsigned hw_cores = std::max(1u, std::thread::hardware_concurrency());
   std::vector<RunResult> runs;
   for (int n : worker_counts) {
-    RunResult r = run_config(spec, bind, n, threads, bucket_bytes, reps,
-                             /*overlap=*/false, 0, 0);
-    r.overlap_step_seconds = run_config(spec, bind, n, threads, bucket_bytes, reps,
-                                        /*overlap=*/true, 0, 0)
-                                 .step_seconds;
+    RunResult r = run_config(spec, bind, n, threads, bucket_bytes, reps, 0, 0);
     if (n > 1) {
       r.barrier_seconds = rt::measure_barrier_seconds(n);
       // The runner's ring: α is one barrier crossing (its stand-in for hop
@@ -249,20 +241,19 @@ int main(int argc, char** argv) {
   double delay_bound = 0;
   const double straggler_scale = smoke ? 5e-3 : 1e-2;
   const RunResult jittered =
-      run_config(spec, bind, max_n, threads, bucket_bytes, reps, /*overlap=*/false,
-                 /*straggler_sigma=*/0.2, straggler_scale, &delay_bound);
+      run_config(spec, bind, max_n, threads, bucket_bytes, reps, /*straggler_sigma=*/0.2,
+                 straggler_scale, &delay_bound);
   const double clean_step = runs.back().step_seconds;
   const bool straggler_ok =
       jittered.step_seconds <= kStragglerSlack * (clean_step + delay_bound) + 0.025;
   const bool straggler_bits_ok = jittered.loss_bits == runs.front().loss_bits;
 
-  util::Table table({"workers", "step s", "overlap step s", "comm s", "PY predicted s",
-                     "ratio", "ring GB/s", "speedup"});
+  util::Table table({"workers", "step s", "comm s", "PY predicted s", "ratio", "ring GB/s",
+                     "speedup"});
   for (const RunResult& r : runs) {
     double bw = 0;
     for (const BucketRow& b : r.buckets) bw = std::max(bw, b.bandwidth);
     table.add_row({std::to_string(r.workers), util::format_duration(r.step_seconds, 3),
-                   util::format_duration(r.overlap_step_seconds, 3),
                    util::format_duration(r.comm_seconds, 3),
                    r.workers > 1 ? util::format_duration(r.predicted_comm_seconds, 3)
                                  : std::string("-"),

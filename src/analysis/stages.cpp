@@ -78,24 +78,4 @@ ir::FootprintResult footprint_stage(const ir::Graph& graph,
   return ir::minimal_footprint(graph, bindings);
 }
 
-double solve_for_params(const CountResult& counts, const std::string& symbol,
-                        double target_params, const sym::Bindings& base) {
-  if (target_params <= 0) throw std::invalid_argument("target_params must be positive");
-  sym::Bindings bind = base;
-  const auto params_at = [&](double value) {
-    bind[symbol] = value;
-    return counts.params.eval(bind);
-  };
-  double lo = 1.0, hi = 2.0;
-  while (params_at(hi) < target_params) {
-    hi *= 2.0;
-    if (hi > 1e12) throw std::runtime_error("solve_for_params: target unreachable");
-  }
-  for (int iter = 0; iter < 200 && (hi - lo) > 1e-9 * hi; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (params_at(mid) < target_params ? lo : hi) = mid;
-  }
-  return hi;
-}
-
 }  // namespace gf::analysis::stages

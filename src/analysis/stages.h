@@ -85,12 +85,4 @@ Projection project_stage(const CountResult& counts, const sym::Bindings& binding
 ir::FootprintResult footprint_stage(const ir::Graph& graph,
                                     const sym::Bindings& bindings);
 
-/// Smallest value of `symbol` at which `counts.params` (evaluated under
-/// `base` plus the candidate) reaches `target_params` — the same monotone
-/// bisection as models::ModelSpec::hidden_for_params, generalized to any
-/// counted graph so the serve layer can solve for width on submitted
-/// models. Throws if the target is non-positive or unreachable.
-double solve_for_params(const CountResult& counts, const std::string& symbol,
-                        double target_params, const sym::Bindings& base = {});
-
 }  // namespace gf::analysis::stages

@@ -32,11 +32,21 @@ double ModelSpec::params_at(double hidden) const {
 }
 
 double ModelSpec::hidden_for_params(double target_params) const {
+  return solve_for_params(params, kHiddenSymbol, target_params);
+}
+
+double solve_for_params(const sym::Expr& params, const std::string& symbol,
+                        double target_params) {
   if (target_params <= 0) throw std::invalid_argument("target_params must be positive");
+  sym::Bindings bind;
+  const auto params_at = [&](double value) {
+    bind[symbol] = value;
+    return params.eval(bind);
+  };
   double lo = 1.0, hi = 2.0;
   while (params_at(hi) < target_params) {
     hi *= 2.0;
-    if (hi > 1e12) throw std::runtime_error("hidden_for_params: target unreachable");
+    if (hi > 1e12) throw std::runtime_error("solve_for_params: target unreachable");
   }
   for (int iter = 0; iter < 200 && (hi - lo) > 1e-9 * hi; ++iter) {
     const double mid = 0.5 * (lo + hi);

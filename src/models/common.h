@@ -59,11 +59,18 @@ struct ModelSpec {
   /// Parameter count at a concrete width.
   double params_at(double hidden) const;
 
-  /// Smallest width whose parameter count reaches `target_params`
-  /// (monotone bisection; result is continuous, not rounded, because the
-  /// paper's projections treat model size as continuous).
+  /// Smallest width whose parameter count reaches `target_params`:
+  /// solve_for_params over `params` and the hidden symbol.
   double hidden_for_params(double target_params) const;
 };
+
+/// Smallest value of `symbol` at which `params` reaches `target_params`: a
+/// monotone bisection whose result is continuous, not rounded, because the
+/// paper's projections treat model size as continuous. Serves built-in
+/// specs and submitted graphs alike. Throws if the target is non-positive
+/// or unreachable.
+double solve_for_params(const sym::Expr& params, const std::string& symbol,
+                        double target_params);
 
 // --- recurrent building blocks ------------------------------------------------
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -64,7 +63,7 @@ std::vector<std::pair<std::size_t, std::size_t>> chunk_ranges(std::size_t elems,
 
 void pairwise_tree_reduce(float* dst, const float* const* srcs, std::size_t count,
                           std::size_t elems) {
-  if (count == 0 || count > 64)
+  if (count == 0 || count > kMaxTreeReduceCount)
     throw std::invalid_argument("pairwise_tree_reduce: count must be in [1, 64]");
   if (count == 1) {
     if (dst != srcs[0]) std::memcpy(dst, srcs[0], elems * sizeof(float));
@@ -102,7 +101,7 @@ void pairwise_tree_reduce(float* dst, const float* const* srcs, std::size_t coun
     return;
   }
   for (std::size_t i = 0; i < elems; ++i) {
-    float level[64];
+    float level[kMaxTreeReduceCount];
     for (std::size_t k = 0; k < count; ++k) level[k] = srcs[k][i];
     // Combine adjacent pairs; an odd tail carries to the next level
     // unchanged. This association is what makes worker-local partial sums
@@ -164,11 +163,10 @@ double BucketStats::bandwidth(int workers) const {
 /// its micro-shards; peers read it (and `reduced`) during the ring, with
 /// every cross-thread handoff ordered by the shared comm barrier.
 struct DataParallelRunner::Worker {
-  int index = 0;
   std::unique_ptr<conc::ThreadPool> pool;
   std::unique_ptr<Executor> ex;
 
-  std::vector<float*> grad_data;  ///< stable persistent-storage pointers (cached after step 1)
+  std::vector<float*> grad_data;  ///< executor's persistent gradient storage, grads_ order
 
   std::vector<std::vector<float>> slots;  ///< [micro-step][total elems]
   std::vector<float> contrib;
@@ -176,18 +174,6 @@ struct DataParallelRunner::Worker {
   std::vector<float> staging;  ///< N * max_chunk: peers' copies of the owned chunk
   std::vector<float> reduced;  ///< owned chunk, tree-reduced and pre-scaled by 1/S
 
-  // Bucket readiness, fed by the executor's on_op_retired hook during the
-  // last micro-step (overlap) or all at once by the worker thread.
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<char> bucket_ready;
-  std::vector<std::size_t> producers_remaining;
-  bool contrib_precomputed = false;
-  bool abort_comm = false;
-  std::atomic<bool> overlap_active{false};
-
-  std::unordered_map<const ir::Op*, std::vector<std::size_t>> producer_buckets;
-  std::vector<std::size_t> producers_total;
   /// Per bucket: producer op_index values in this worker's executing
   /// graph — the dependency edges of the bucket's ring events.
   std::vector<std::vector<std::size_t>> bucket_producer_indices;
@@ -213,6 +199,10 @@ DataParallelRunner::DataParallelRunner(const ir::Graph& graph, const ir::Tensor*
     throw std::invalid_argument(
         "datapar: grad_shards must be a multiple of workers with a power-of-two "
         "shards-per-worker quotient (the aligned-subtree condition)");
+  if (static_cast<std::size_t>(s) > kMaxTreeReduceCount)
+    throw std::invalid_argument("datapar: grad_shards must be <= " +
+                                std::to_string(kMaxTreeReduceCount) +
+                                " (pairwise_tree_reduce's fan-in limit)");
   if (options_.threads_per_worker < 1)
     throw std::invalid_argument("datapar: threads_per_worker must be >= 1");
 
@@ -228,8 +218,8 @@ DataParallelRunner::DataParallelRunner(const ir::Graph& graph, const ir::Tensor*
   micro_bindings_[options_.batch_symbol] = static_cast<double>(global_batch / s);
 
   // Fixed gradient order: the graph's ApplyGradient ops, sorted by their
-  // gradient's producer position so buckets become ring-ready roughly in
-  // index order during backward.
+  // gradient's producer position. It fixes the bucket layout, and with it
+  // the bits of every reduction.
   std::unordered_map<const ir::Op*, std::size_t> op_pos;
   op_pos.reserve(graph.ops().size());
   for (std::size_t i = 0; i < graph.ops().size(); ++i) op_pos.emplace(graph.ops()[i].get(), i);
@@ -287,52 +277,37 @@ DataParallelRunner::DataParallelRunner(const ir::Graph& graph, const ir::Tensor*
   // the runner so the ring's *averaged* gradients reach the weights.
   comm_barrier_ = std::make_unique<conc::Barrier>(static_cast<std::size_t>(n));
   micro_losses_.assign(static_cast<std::size_t>(s), 0.0f);
-  std::vector<std::size_t> grad_bucket(grads_.size(), 0);
-  for (std::size_t b = 0; b < buckets_.size(); ++b)
-    for (const GradSlice& sl : buckets_[b].slices) grad_bucket[sl.grad_index] = b;
   workers_.reserve(static_cast<std::size_t>(n));
   for (int w = 0; w < n; ++w) {
     auto wk = std::make_unique<Worker>();
-    wk->index = w;
     wk->pool = std::make_unique<conc::ThreadPool>(options_.threads_per_worker);
     ExecutorOptions eopt = options_.executor;
     eopt.pool = wk->pool.get();
     eopt.apply_updates = false;
-    eopt.on_op_retired = [this, w](const ir::Op& op, std::size_t) {
-      Worker& me = *workers_[static_cast<std::size_t>(w)];
-      if (!me.overlap_active.load(std::memory_order_acquire)) return;
-      auto it = me.producer_buckets.find(&op);
-      if (it == me.producer_buckets.end()) return;
-      std::lock_guard lock(me.m);
-      for (std::size_t b : it->second)
-        if (--me.producers_remaining[b] == 0) me.bucket_ready[b] = 1;
-      me.cv.notify_one();
-    };
     wk->ex = std::make_unique<Executor>(graph, micro_bindings_, eopt);
     if (loss_ != nullptr) wk->ex->retain(loss_);
 
-    // Producer maps in this worker's executing graph (the fused clone when
-    // fusion is on): bucket b is ring-ready once all its distinct producer
-    // ops retired.
+    // Bucket b's ring events depend on the distinct producer ops of its
+    // gradients in this worker's executing graph (the fused clone when
+    // fusion is on).
     const ir::OpDag wdag = ir::build_op_dag(wk->ex->executing_graph());
     std::unordered_map<const ir::Op*, std::size_t> windex;
     windex.reserve(wdag.order.size());
     for (std::size_t i = 0; i < wdag.order.size(); ++i) windex.emplace(wdag.order[i], i);
-    wk->producers_total.assign(buckets_.size(), 0);
     wk->bucket_producer_indices.assign(buckets_.size(), {});
-    for (std::size_t g = 0; g < grads_.size(); ++g) {
-      const ir::Op* producer = wk->ex->resolve(grads_[g].grad)->producer();
-      const std::size_t b = grad_bucket[g];
-      auto& list = wk->producer_buckets[producer];
-      if (std::find(list.begin(), list.end(), b) == list.end()) {
-        list.push_back(b);
-        ++wk->producers_total[b];
-        wk->bucket_producer_indices[b].push_back(windex.at(producer));
-      }
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      auto& idx = wk->bucket_producer_indices[b];
+      for (const GradSlice& sl : buckets_[b].slices)
+        idx.push_back(windex.at(wk->ex->resolve(grads_[sl.grad_index].grad)->producer()));
+      std::sort(idx.begin(), idx.end());
+      idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
     }
-    for (auto& idx : wk->bucket_producer_indices) std::sort(idx.begin(), idx.end());
 
+    // Weight gradients are persistent: the executor allocated their
+    // storage at construction, and it never moves.
     wk->grad_data.reserve(grads_.size());
+    for (const GradInfo& g : grads_)
+      wk->grad_data.push_back(wk->ex->weight_value(g.grad).fdata());
     wk->slots.assign(static_cast<std::size_t>(micro), std::vector<float>(total_elems_));
     wk->contrib.assign(total_elems_, 0.0f);
     wk->avg.assign(total_elems_, 0.0f);
@@ -430,10 +405,6 @@ DataParallelStepResult DataParallelRunner::step() {
     wk->comm_seconds = 0;
     wk->bucket_stats.assign(buckets_.size(), {});
     wk->ring_events.clear();
-    wk->contrib_precomputed = false;
-    wk->abort_comm = false;
-    wk->bucket_ready.assign(buckets_.size(), 0);
-    wk->producers_remaining = wk->producers_total;
     wk->step_start = t0;
   }
 
@@ -445,7 +416,6 @@ DataParallelStepResult DataParallelRunner::step() {
     poisoned_ = true;
     std::rethrow_exception(error_);
   }
-  primed_ = true;
 
   DataParallelStepResult res;
   res.wall_seconds = seconds_between(t0, Clock::now());
@@ -482,17 +452,7 @@ DataParallelStepResult DataParallelRunner::step() {
 
 void DataParallelRunner::run_worker(int w) {
   Worker& wk = *workers_[static_cast<std::size_t>(w)];
-  std::thread comm([this, w] { run_comm(w); });
   const int micro = micro_steps();
-  bool ok = true;
-
-  auto copy_into_slot = [&](int m) {
-    std::vector<float>& slot = wk.slots[static_cast<std::size_t>(m)];
-    for (std::size_t g = 0; g < grads_.size(); ++g)
-      std::memcpy(slot.data() + grads_[g].flat_offset, wk.grad_data[g],
-                  grads_[g].elems * sizeof(float));
-  };
-
   try {
     for (int m = 0; m < micro; ++m) {
       const double delay = straggler_delays_[static_cast<std::size_t>(w)]
@@ -504,103 +464,31 @@ void DataParallelRunner::run_worker(int w) {
       const int shard = w * micro + m;
       for (std::size_t i = 0; i < inputs_.size(); ++i)
         wk.ex->set_input(inputs_[i], micro_inputs_[static_cast<std::size_t>(shard)][i]);
-      const bool last = m + 1 == micro;
-      // Overlap needs the gradient-storage pointers cached after the first
-      // step — the first step always runs the join-then-reduce path.
-      const bool overlap = last && options_.overlap && primed_;
-      if (overlap) wk.overlap_active.store(true, std::memory_order_release);
       wk.micro_start.push_back(seconds_between(wk.step_start, Clock::now()));
-      ProfileReport report = wk.ex->run_step();
-      wk.overlap_active.store(false, std::memory_order_release);
-      wk.micro_reports.push_back(std::move(report));
+      wk.micro_reports.push_back(wk.ex->run_step());
       if (loss_ != nullptr)
         micro_losses_[static_cast<std::size_t>(shard)] = wk.ex->value(loss_).f(0);
-      if (wk.grad_data.size() != grads_.size()) {
-        wk.grad_data.clear();
-        for (const GradInfo& g : grads_)
-          wk.grad_data.push_back(wk.ex->weight_value(g.grad).fdata());
-      }
-      if (!last) {
-        copy_into_slot(m);
-      } else if (!overlap) {
-        copy_into_slot(m);
-        for (std::size_t b = 0; b < buckets_.size(); ++b) {
-          const std::size_t base = bucket_offsets_[b];
-          std::vector<const float*> srcs(static_cast<std::size_t>(micro));
-          for (int k = 0; k < micro; ++k)
-            srcs[static_cast<std::size_t>(k)] = wk.slots[static_cast<std::size_t>(k)].data() + base;
-          pairwise_tree_reduce(wk.contrib.data() + base, srcs.data(),
-                               static_cast<std::size_t>(micro), buckets_[b].elems);
-        }
-        std::lock_guard lock(wk.m);
-        wk.contrib_precomputed = true;
-        for (char& r : wk.bucket_ready) r = 1;
-        wk.cv.notify_one();
-      }
+      std::vector<float>& slot = wk.slots[static_cast<std::size_t>(m)];
+      for (std::size_t g = 0; g < grads_.size(); ++g)
+        std::memcpy(slot.data() + grads_[g].flat_offset, wk.grad_data[g],
+                    grads_[g].elems * sizeof(float));
     }
-  } catch (...) {
-    ok = false;
-    note_error(std::current_exception());
-    // Release the gang: peers blocked in the ring throw, and this worker's
-    // comm thread (possibly waiting for a bucket that will never be ready)
-    // is told to bail.
-    comm_barrier_->abort();
-    {
-      std::lock_guard lock(wk.m);
-      wk.abort_comm = true;
-    }
-    wk.cv.notify_one();
-  }
-  comm.join();
-  if (ok) {
-    bool failed = false;
-    {
-      std::lock_guard lock(error_mutex_);
-      failed = static_cast<bool>(error_);
-    }
-    if (!failed) {
-      try {
-        apply_updates(w);
-      } catch (...) {
-        note_error(std::current_exception());
-      }
-    }
-  }
-}
-
-void DataParallelRunner::run_comm(int w) {
-  Worker& wk = *workers_[static_cast<std::size_t>(w)];
-  const int micro = micro_steps();
-  try {
+    std::vector<const float*> srcs(static_cast<std::size_t>(micro));
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      bool precomputed = false;
-      {
-        std::unique_lock lock(wk.m);
-        wk.cv.wait(lock, [&] { return wk.bucket_ready[b] != 0 || wk.abort_comm; });
-        if (wk.abort_comm) return;
-        precomputed = wk.contrib_precomputed;
-      }
-      if (!precomputed) {
-        // Overlap path: the bucket's producers just retired inside the
-        // last micro-step. Stage its gradients and fold the canonical
-        // subtree over this worker's micro-shards, off the compute pool.
-        const std::size_t base = bucket_offsets_[b];
-        std::vector<float>& slot = wk.slots[static_cast<std::size_t>(micro - 1)];
-        for (const GradSlice& sl : buckets_[b].slices)
-          std::memcpy(slot.data() + base + sl.offset, wk.grad_data[sl.grad_index],
-                      sl.elems * sizeof(float));
-        std::vector<const float*> srcs(static_cast<std::size_t>(micro));
-        for (int k = 0; k < micro; ++k)
-          srcs[static_cast<std::size_t>(k)] = wk.slots[static_cast<std::size_t>(k)].data() + base;
-        pairwise_tree_reduce(wk.contrib.data() + base, srcs.data(),
-                             static_cast<std::size_t>(micro), buckets_[b].elems);
-      }
-      ring_bucket(w, b);
+      const std::size_t base = bucket_offsets_[b];
+      for (int k = 0; k < micro; ++k)
+        srcs[static_cast<std::size_t>(k)] = wk.slots[static_cast<std::size_t>(k)].data() + base;
+      pairwise_tree_reduce(wk.contrib.data() + base, srcs.data(),
+                           static_cast<std::size_t>(micro), buckets_[b].elems);
     }
+    for (std::size_t b = 0; b < buckets_.size(); ++b) ring_bucket(w, b);
+    apply_updates(w);
   } catch (...) {
-    // Typically the barrier abort thrown when a peer failed; the original
-    // error (recorded before the abort) wins, so this is a no-op then.
+    // Record first, then release the gang: a peer blocked in the ring
+    // throws the barrier's abort error, which note_error then drops in
+    // favour of this one.
     note_error(std::current_exception());
+    comm_barrier_->abort();
   }
 }
 
@@ -706,10 +594,10 @@ void DataParallelRunner::apply_updates(int w) {
 
 ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) {
   // Lane layout: worker w's executor events keep their relative lanes
-  // inside block [w*(T+1), (w+1)*(T+1)) where T = threads_per_worker, and
-  // each worker's ring events get a dedicated comm lane after all compute
-  // blocks — `gfctl trace`-style rendering shows compute and communication
-  // overlapping per worker.
+  // inside block [w*(T+1), (w+1)*(T+1)) where T = threads_per_worker: the
+  // block's first lane is the worker thread itself (the caller's lane in
+  // an executor timeline), the rest its pool threads. The worker thread
+  // runs the ring, so its ring events go on that first lane.
   const int n = options_.workers;
   const int lane_width = static_cast<int>(options_.threads_per_worker) + 1;
 
@@ -756,15 +644,19 @@ ProfileReport DataParallelRunner::merge_timeline(double wall_seconds) {
     }
     for (std::size_t r = 0; r < wk.ring_events.size(); ++r) {
       TimelineEvent ev = std::move(wk.ring_events[r]);
-      ev.worker = n * lane_width + w;
+      ev.worker = w * lane_width;
       const std::size_t b = r / 2;
       if (r % 2 == 0) {
         // Reduce-scatter waits on the bucket's gradient producers in the
-        // last micro-step, and on this worker's previous ring phase.
+        // last micro-step, and on this worker's previous ring phase. The
+        // first one also waits on the last micro-step's final op, as a
+        // micro-step's roots do on the step before: the ring starts after
+        // backward ends.
         if (!pos_of[static_cast<std::size_t>(w)].empty()) {
           const auto& last = pos_of[static_cast<std::size_t>(w)].back();
           for (std::size_t p : wk.bucket_producer_indices[b])
             if (p < last.size()) ev.deps.push_back(last[p]);
+          if (r == 0 && !last.empty()) ev.deps.push_back(last.back());
         }
         if (r > 0) ev.deps.push_back(ring_pos[static_cast<std::size_t>(w)][r - 1]);
       } else {

@@ -29,13 +29,12 @@
 // for the per-hop synchronization a wire ring pays as message latency —
 // it just stages contributions instead of folding them in rotation order.
 //
-// Overlap and stragglers
-// ----------------------
-// With options.overlap, a bucket's ring starts as soon as all producer ops
-// of its gradients retire in the last micro-step (via
-// ExecutorOptions::on_op_retired): each worker's communication thread
-// processes buckets in one fixed global order, so rings pipeline behind
-// the tail of backward compute without cross-worker deadlock. Seeded
+// Schedule and stragglers
+// -----------------------
+// A step is the synchronous SGD step §6 prices (plan::evaluate_data_parallel):
+// compute, then the ring allreduce. Each worker's thread runs its S/N
+// micro-steps, tree-reduces its gradients, runs the ring for every bucket
+// in the fixed bucket order and applies the update. Seeded
 // per-(worker, micro-step) lognormal delays (mirroring ext_stragglers'
 // jitter model) inject deterministic stragglers; the injected delays are
 // exposed so benches can gate the measured degradation against the
@@ -85,13 +84,16 @@ std::vector<GradBucket> plan_buckets(const std::vector<std::size_t>& grad_elems,
 std::vector<std::pair<std::size_t, std::size_t>> chunk_ranges(std::size_t elems,
                                                               std::size_t workers);
 
+/// Largest fan-in pairwise_tree_reduce accepts.
+inline constexpr std::size_t kMaxTreeReduceCount = 64;
+
 /// Element-wise sum of `count` equal-length float arrays using the
 /// canonical adjacent-pairing tree: combine neighbors, carry an odd tail
 /// to the next level, repeat. The association over S leaves equals the
 /// association over any partition of those leaves into contiguous
 /// power-of-two blocks (reduce each block first, then the block sums) —
 /// the property the worker-count-independence of the runner rests on.
-/// count == 1 is a copy; count must be <= 64.
+/// count == 1 is a copy; count must be in [1, kMaxTreeReduceCount].
 void pairwise_tree_reduce(float* dst, const float* const* srcs, std::size_t count,
                           std::size_t elems);
 
@@ -105,17 +107,14 @@ struct DataParallelOptions {
   int workers = 1;
   /// Fixed reduction granularity S: the global batch always splits into S
   /// micro-shards and gradients always reduce as one S-leaf tree, so the
-  /// result is a function of S alone, not of N. Requires workers | S and
-  /// S/workers a power of two (the aligned-subtree condition above).
+  /// result is a function of S alone, not of N. Requires workers | S,
+  /// S/workers a power of two (the aligned-subtree condition above) and
+  /// S <= kMaxTreeReduceCount (the tree's fan-in over the S micro losses).
   int grad_shards = 8;
   /// Target bucket payload; gradients pack greedily up to this size.
   std::size_t bucket_bytes = std::size_t{64} * 1024;
   /// Intra-op pool threads per worker executor.
   std::size_t threads_per_worker = 1;
-  /// Start a bucket's ring as soon as its producers retire (else all
-  /// communication waits for the full backward pass). Identical bits
-  /// either way; only the schedule changes.
-  bool overlap = true;
   /// Straggler injection: per-(worker, micro-step) sleep of
   /// straggler_scale_seconds * max(0, lognormal(-σ²/2, σ) - 1), sampled
   /// once at construction from straggler_seed (ext_stragglers' jitter
@@ -154,10 +153,12 @@ struct DataParallelStepResult {
   double wall_seconds = 0;
   std::vector<WorkerStepStats> workers;
   std::vector<BucketStats> buckets;
-  /// Merged timeline: every worker's micro-step op events on its own lane
-  /// block, plus two "comm"-category events per bucket per worker
-  /// (kernel_class "ring-allreduce", so `gfctl whatif --scale
-  /// ring-allreduce` prices a faster interconnect). Re-indexed and
+  /// Merged timeline: worker w's micro-step op events on its lane block
+  /// [w(T+1), (w+1)(T+1)), T = threads_per_worker, plus two
+  /// "comm"-category events per bucket on the worker thread's own lane
+  /// w(T+1) (kernel_class "ring-allreduce", so `gfctl whatif --scale
+  /// ring-allreduce` prices a faster interconnect). Each worker's first
+  /// ring event depends on its last micro-step's final op. Re-indexed and
   /// dep-remapped to stay whatif-loadable.
   ProfileReport timeline;
 };
@@ -175,9 +176,10 @@ class DataParallelRunner {
   DataParallelRunner& operator=(const DataParallelRunner&) = delete;
 
   /// Runs one data-parallel training step: micro-steps, ring allreduce,
-  /// optimizer update on every worker. Throws on any worker's kernel
-  /// error; a failed step poisons the runner (the gang's barriers are
-  /// broken), so subsequent step() calls throw.
+  /// optimizer update on every worker. Rethrows the first error a worker
+  /// hit (not the barrier abort that released its peers); a failed step
+  /// poisons the runner (the gang's barriers are broken), so subsequent
+  /// step() calls throw.
   DataParallelStepResult step();
 
   int workers() const { return options_.workers; }
@@ -207,7 +209,6 @@ class DataParallelRunner {
 
   void build_global_inputs(const ir::Graph& graph, const sym::Bindings& global_bindings);
   void run_worker(int w);
-  void run_comm(int w);
   void ring_bucket(int w, std::size_t b);
   void apply_updates(int w);
   void note_error(std::exception_ptr error) noexcept;
@@ -219,9 +220,8 @@ class DataParallelRunner {
   const ir::Tensor* loss_ = nullptr;
   sym::Bindings micro_bindings_;
 
-  /// Fixed gradient order (by producer position in the original graph, so
-  /// buckets become ring-ready roughly in index order) and the per-grad
-  /// apply info mirrored from the graph's ApplyGradient ops.
+  /// Fixed gradient order (by producer position in the original graph) and
+  /// the per-grad apply info mirrored from the graph's ApplyGradient ops.
   struct GradInfo {
     const ir::Tensor* weight = nullptr;
     const ir::Tensor* grad = nullptr;
@@ -251,7 +251,6 @@ class DataParallelRunner {
   std::vector<float> micro_losses_;
   std::mutex error_mutex_;
   std::exception_ptr error_;
-  bool primed_ = false;    ///< first step ran; grad storage pointers cached
   bool poisoned_ = false;  ///< a step failed; barriers are broken
 };
 

@@ -291,7 +291,6 @@ ProfileReport Executor::run_step_sequential() {
     slot.start_seconds = seconds_between(step_start, t0);
     slot.end_seconds = seconds_between(step_start, t1);
     slot.worker = -1;
-    if (options_.on_op_retired) options_.on_op_retired(*dag_.order[i], i);
   }
   return fold_report(slots, seconds_between(step_start, Clock::now()));
 }
@@ -330,16 +329,6 @@ ProfileReport Executor::run_step_wavefront() {
       slot.start_seconds = seconds_between(step_start, t0);
       slot.end_seconds = seconds_between(step_start, t1);
       slot.worker = conc::ThreadPool::current_worker_index();
-      // Outputs are final; fire the completion hook outside the scheduler
-      // lock so a hook that hands work to another thread (the ring-
-      // allreduce kick) never serializes against dispatch.
-      if (!op_error && options_.on_op_retired) {
-        try {
-          options_.on_op_retired(*dag_.order[i], i);
-        } catch (...) {
-          op_error = std::current_exception();
-        }
-      }
 
       std::lock_guard lock(m);
       ++retired;

@@ -41,7 +41,6 @@
 // after the step.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -100,18 +99,6 @@ struct ExecutorOptions {
   /// std::invalid_argument. False runs the stacked clone unfused: the
   /// what-if workflow profiles that step to predict what fusion buys.
   bool fuse = true;
-  /// Completion hook: called once per executed op, after its kernel
-  /// finished writing the op's outputs, from the thread that ran the
-  /// kernel (a pool worker under kWavefront, the caller under
-  /// kSequential). By the time it fires the op's outputs are final, so a
-  /// hook may read them — the data-parallel runner uses this to start a
-  /// gradient bucket's allreduce as soon as its producers retire, while
-  /// the rest of backward is still executing. Keep it cheap: under
-  /// kWavefront it runs on (and blocks) a pool worker. An exception
-  /// thrown from the hook aborts the step like a kernel error.
-  /// `op_index` is the op's position in the executing graph's topological
-  /// order (matches TimelineEvent::op_index).
-  std::function<void(const ir::Op& op, std::size_t op_index)> on_op_retired;
 };
 
 /// The executor's deterministic producerless-tensor fill as a free

@@ -80,8 +80,8 @@ double solve_hidden(StageCache& cache, std::uint64_t graph_hash, const CountResu
                     double target_params) {
   const std::uint64_t key = ir::fnv1a64_mix(graph_hash, double_bits(target_params));
   return *cache.get_or_compute<double>("solve", key, [&] {
-    return std::make_shared<double>(analysis::stages::solve_for_params(
-        counts, models::kHiddenSymbol, target_params));
+    return std::make_shared<double>(
+        models::solve_for_params(counts.params, models::kHiddenSymbol, target_params));
   });
 }
 

@@ -4,9 +4,11 @@
 // N=1/S=1 degenerating to the plain single-executor path exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/ir/gradients.h"
@@ -55,6 +57,26 @@ struct OneWeight {
     w1 = g.add_weight("w", {Expr(4), Expr(1)});
     Tensor* y = ir::tanh(g, "act", ir::matmul(g, "fc", x, w1));
     loss = ir::reduce_mean(g, "loss", y);
+    ir::build_training_step(g, loss, {});
+  }
+};
+
+/// Int ids feed an embedding over 64 rows first, then one over 2 rows.
+/// deterministic_fill draws ids below the first consumer's row count, so
+/// the second lookup throws "embedding id out of range" on any id >= 2.
+struct TwoTableLookup {
+  Graph g{"lookup"};
+  Tensor* ids = nullptr;
+  Tensor* loss = nullptr;
+
+  TwoTableLookup() {
+    ids = g.add_input("ids", {Expr::symbol("batch")}, ir::DataType::kInt32);
+    Tensor* wide = g.add_weight("wide", {Expr(64), Expr(4)});
+    Tensor* narrow = g.add_weight("narrow", {Expr(2), Expr(4)});
+    Tensor* wide_rows = ir::embedding_lookup(g, "wide_rows", wide, ids);  // first consumer
+    Tensor* narrow_rows = ir::embedding_lookup(g, "narrow_rows", narrow, ids);
+    Tensor* sum = ir::add(g, "sum", wide_rows, narrow_rows);
+    loss = ir::reduce_mean(g, "loss", ir::tanh(g, "act", sum));
     ir::build_training_step(g, loss, {});
   }
 };
@@ -195,6 +217,10 @@ TEST(DataParallel, RejectsInvalidShardCounts) {
   EXPECT_THROW(DataParallelRunner(m.g, m.loss, Bindings{{"batch", 20}}, opt),
                std::invalid_argument);  // 20 % 8 != 0
   EXPECT_THROW(DataParallelRunner(m.g, m.loss, Bindings{}, opt), std::invalid_argument);
+  opt.workers = 2;
+  opt.grad_shards = 128;  // beyond pairwise_tree_reduce's 64-input fan-in
+  EXPECT_THROW(DataParallelRunner(m.g, m.loss, Bindings{{"batch", 256}}, opt),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,20 +307,6 @@ TEST(DataParallel, SingleParameterModelParity) {
   }
 }
 
-TEST(DataParallel, OverlapDoesNotChangeBits) {
-  DataParallelOptions on;
-  on.grad_shards = 8;
-  on.overlap = true;
-  on.threads_per_worker = 2;  // retire callbacks race harder on a wider pool
-  DataParallelOptions off = on;
-  off.overlap = false;
-  TinyMlp m1;
-  TinyMlp m2;
-  // 3 steps: step 1 primes (overlap off internally), steps 2-3 actually
-  // overlap communication with backward compute.
-  expect_identical(run_steps(m1, 4, 3, on), run_steps(m2, 4, 3, off), "overlap");
-}
-
 TEST(DataParallel, StragglersChangeTimingNotBits) {
   DataParallelOptions jittered;
   jittered.grad_shards = 8;
@@ -324,6 +336,35 @@ TEST(DataParallel, StragglerScheduleIsDeterministic) {
       total += a.straggler_delay(w, s);
     }
   EXPECT_GT(total, 0.0);
+}
+
+TEST(DataParallel, KernelErrorIsRethrownAndPoisonsTheRunner) {
+  // One id per micro-shard. Take the first seed that gives worker 0 only
+  // in-range ids and worker 1 an out-of-range one: worker 0 finishes its
+  // micro-steps and meets the ring's barrier, which worker 1's kernel
+  // error aborts.
+  TwoTableLookup m;
+  const Bindings bind{{"batch", 4}};
+  DataParallelOptions opt;
+  opt.workers = 2;
+  opt.grad_shards = 4;
+  DenseTensor ids({4}, ir::DataType::kInt32);
+  for (opt.executor.seed = 1; opt.executor.seed < 100000; ++opt.executor.seed) {
+    deterministic_fill(m.ids, bind, opt.executor.seed, ids);
+    if (ids.i32(0) < 2 && ids.i32(1) < 2 && (ids.i32(2) >= 2 || ids.i32(3) >= 2)) break;
+  }
+  ASSERT_LT(opt.executor.seed, 100000u);
+  DataParallelRunner runner(m.g, m.loss, bind, opt);
+
+  // The kernel's error, not the barrier abort that released worker 0.
+  EXPECT_THROW(runner.step(), std::logic_error);
+  try {
+    runner.step();
+    ADD_FAILURE() << "a poisoned runner stepped again";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("a previous step failed"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -365,18 +406,46 @@ TEST(DataParallel, MergedTimelineIsWhatifLoadable) {
   DataParallelOptions opt;
   opt.workers = 2;
   opt.grad_shards = 4;
+  opt.threads_per_worker = 2;
   DataParallelRunner runner(m.g, m.loss, Bindings{{"batch", 16}}, opt);
-  runner.step();                                      // priming step
-  const DataParallelStepResult res = runner.step();   // overlapped step
+  runner.step();
+  const DataParallelStepResult res = runner.step();
+  const std::vector<TimelineEvent>& events = res.timeline.timeline;
 
-  std::size_t ring_events = 0;
-  for (const TimelineEvent& e : res.timeline.timeline) {
-    if (e.category == "comm") {
-      ++ring_events;
-      EXPECT_EQ(e.kernel_class, "ring-allreduce");
+  // Worker w owns lanes [w(T+1), (w+1)(T+1)). Its micro-steps run one
+  // after another, so the latest end among its op events is its last
+  // micro-step's, and the last event named like the executing graph's
+  // final op is that micro-step's final op.
+  const int lane_width = static_cast<int>(opt.threads_per_worker) + 1;
+  const std::string final_op =
+      ir::build_op_dag(runner.worker_executor(0).executing_graph()).order.back()->name();
+  std::vector<double> ops_end(2, 0.0);
+  std::vector<std::size_t> final_op_index(2, events.size());
+  for (const TimelineEvent& e : events) {
+    if (e.category == "comm") continue;
+    const auto w = static_cast<std::size_t>(e.worker / lane_width);
+    ASSERT_LT(w, 2u) << e.name;
+    ops_end[w] = std::max(ops_end[w], e.end_seconds);
+    if (e.name == final_op) final_op_index[w] = e.op_index;
+  }
+
+  // The worker thread runs the ring after backward: every ring event sits
+  // on its block's first lane and starts after the worker's last op ends,
+  // and its first ring event depends on that micro-step's final op.
+  std::vector<std::size_t> ring_events(2, 0);
+  for (const TimelineEvent& e : events) {
+    if (e.category != "comm") continue;
+    EXPECT_EQ(e.kernel_class, "ring-allreduce");
+    ASSERT_EQ(e.worker % lane_width, 0) << e.name << " is off its worker thread's lane";
+    const auto w = static_cast<std::size_t>(e.worker / lane_width);
+    ASSERT_LT(w, 2u) << e.name;
+    EXPECT_GE(e.start_seconds, ops_end[w]) << e.name << " starts before backward ends";
+    if (ring_events[w]++ == 0) {
+      EXPECT_TRUE(std::binary_search(e.deps.begin(), e.deps.end(), final_op_index[w]))
+          << e.name << " does not wait for worker " << w << "'s final op";
     }
   }
-  EXPECT_EQ(ring_events, 2 * runner.buckets().size() * 2u);  // 2 phases x B x N
+  for (std::size_t n : ring_events) EXPECT_EQ(n, 2 * runner.buckets().size());
 
   // Dense, causally ordered indices with forward deps: exactly what
   // whatif::load_trace + validate_trace enforce.

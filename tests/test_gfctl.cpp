@@ -2,8 +2,10 @@
 // binary: a count that is not a whole number, is negative, or asks for
 // zero steps, a size that is not a finite positive number, and a number
 // outside its flag's range, exits 1 before any trace, model or thread pool
-// is touched, and writes no output file. Only values rejected before a
-// pool exists are tested here.
+// is touched, and writes no output file. So does a data-parallel shard
+// count beyond the runner's reduction tree, which the runner's constructor
+// rejects after the model is built. Only values rejected before a pool
+// exists are tested here.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -105,9 +107,13 @@ TEST(GfctlArgs, NumberFlagsMustLieInTheirRanges) {
 
 TEST(GfctlArgs, DataparRejectsZeroSteps) {
   const fs::path prefix = scratch_path("datapar");
-  EXPECT_EQ(run_gfctl("datapar --steps 0 --trace " + prefix.string()), 1);
-  for (const int n : {1, 2, 4, 8})
-    EXPECT_FALSE(fs::exists(prefix.string() + "." + std::to_string(n) + "w.json"));
+  // 128 shards exceed the runner's 64-leaf reduction tree.
+  for (const std::string flags : {"--steps 0", "--shards 128"}) {
+    EXPECT_EQ(run_gfctl("datapar " + flags + " --trace " + prefix.string()), 1) << flags;
+    for (const int n : {1, 2, 4, 8})
+      EXPECT_FALSE(fs::exists(prefix.string() + "." + std::to_string(n) + "w.json"))
+          << flags;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -311,6 +312,36 @@ TEST(OpDag, WarEdgesOrderInPlaceUpdatesAfterReaders) {
 }
 
 // --- timeline / trace ----------------------------------------------------
+
+TEST(WavefrontErrors, KernelErrorThrowsAndTheNextStepRuns) {
+  // Int ids feed an embedding over 64 rows first, then one over 2 rows.
+  // The executor draws ids below the first consumer's row count, so the
+  // second lookup throws "embedding id out of range".
+  Graph g("lookup");
+  Tensor* ids = g.add_input("ids", {Expr::symbol("batch")}, ir::DataType::kInt32);
+  Tensor* wide = g.add_weight("wide", {Expr(64), Expr(4)});
+  Tensor* narrow = g.add_weight("narrow", {Expr(2), Expr(4)});
+  Tensor* wide_rows = ir::embedding_lookup(g, "wide_rows", wide, ids);  // first consumer
+  Tensor* narrow_rows = ir::embedding_lookup(g, "narrow_rows", narrow, ids);
+  Tensor* sum = ir::add(g, "sum", wide_rows, narrow_rows);
+  Tensor* loss = ir::reduce_mean(g, "loss", ir::tanh(g, "act", sum));
+  ir::build_training_step(g, loss, {});
+
+  conc::ThreadPool pool(3);
+  ExecutorOptions opt;
+  opt.pool = &pool;
+  opt.schedule = Schedule::kWavefront;
+  Executor ex(g, Bindings{{"batch", 16}}, opt);
+  ex.retain(loss);
+  EXPECT_THROW(ex.run_step(), std::logic_error);
+
+  DenseTensor in_range({16}, ir::DataType::kInt32);
+  for (std::int64_t i = 0; i < in_range.numel(); ++i)
+    in_range.i32(i) = static_cast<std::int32_t>(i % 2);
+  ex.set_input(ids, std::move(in_range));
+  ex.run_step();
+  EXPECT_TRUE(std::isfinite(ex.value(loss).f(0)));
+}
 
 TEST(WavefrontTimeline, CoversEveryOpInTopologicalOrder) {
   models::WordLmConfig cfg;

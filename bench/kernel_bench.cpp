@@ -1,7 +1,7 @@
 // Kernel-layer microbenchmark: blocked GEMM / conv kernels vs the retained
 // reference implementations, validated against the paper's cache model.
 //
-// Six sections. Sections 1-3, 5 and 6 go to BENCH_kernels.json, section
+// Seven sections. Sections 1-3 and 5-7 go to BENCH_kernels.json, section
 // 4 to BENCH_codegen.json:
 //
 //  1. GEMM sweep over shapes drawn from the paper's models (word-LM
@@ -41,6 +41,14 @@
 //     one GEMM with K = T*b). The stacked result must lie within the
 //     (T*b+2)*2^-24*sum|z*dg| bound of a double-precision sum, smoke
 //     included; times are reported, not gated.
+//  7. Shared-weight packing: one word_lm layer's T = 20 forward GEMMs
+//     z_t·W (z [b, 256], W [256, 512]) and input-gradient GEMMs
+//     dgates_t·Wᵀ (dgates [b, 512]; smaller under --smoke) at b = 2 on one
+//     thread and b = 16 on three, each packing W per call, against
+//     pack_b_panels once per trans_b and 2T calls on the panels (what the
+//     executor does per step). Every prepacked output must be bitwise
+//     equal to its per-call output, smoke included; times are reported,
+//     not gated.
 //
 // Flags: --smoke (tiny shapes, 1 rep — CI), --threads N, --out PATH,
 // --codegen-out PATH.
@@ -741,6 +749,88 @@ StackResult bench_stacking(const std::string& label, std::int64_t b, std::size_t
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Section 7: a shared weight packed per call vs once per step.
+// ---------------------------------------------------------------------------
+
+struct PackingResult {
+  std::string label;
+  std::int64_t b = 0, steps = 0;
+  std::size_t threads = 0;
+  double per_call_us = 0;   // 2T GEMMs, each packing W
+  double prepacked_us = 0;  // 2 pack_b_panels, then 2T GEMMs on the panels
+  double speedup = 0;
+  bool bitwise_ok = false;
+};
+
+/// One recurrent layer's per-timestep GEMMs that read its weight W
+/// [zc, gc]: z_t·W (z_t [b, zc]) and dgates_t·Wᵀ (dgates_t [b, gc]) for
+/// t < steps, on the executor's matmul kernel and a pool of `threads`.
+PackingResult bench_shared_packing(const std::string& label, std::int64_t b,
+                                   std::size_t threads, std::int64_t zc, std::int64_t gc,
+                                   std::int64_t steps, int reps, int iters) {
+  conc::ThreadPool pool(threads);
+  const rt::GemmTiling& tiling = rt::default_gemm_tiling();
+  const auto t_count = static_cast<std::size_t>(steps);
+  const rt::DenseTensor w = random_tensor({zc, gc}, 300);
+  std::vector<rt::DenseTensor> z, dg, fwd, bwd, fwd_packed, bwd_packed;
+  for (std::size_t t = 0; t < t_count; ++t) {
+    z.push_back(random_tensor({b, zc}, 301 + 2 * static_cast<std::uint32_t>(t)));
+    dg.push_back(random_tensor({b, gc}, 302 + 2 * static_cast<std::uint32_t>(t)));
+    for (auto* out : {&fwd, &fwd_packed})
+      out->emplace_back(std::vector<std::int64_t>{b, gc}, ir::DataType::kFloat32);
+    for (auto* out : {&bwd, &bwd_packed})
+      out->emplace_back(std::vector<std::int64_t>{b, zc}, ir::DataType::kFloat32);
+  }
+  std::vector<float> panel_w(static_cast<std::size_t>(rt::packed_b_floats(zc, gc, tiling)));
+  std::vector<float> panel_wt(static_cast<std::size_t>(rt::packed_b_floats(gc, zc, tiling)));
+  rt::KernelStats st;
+  const auto per_call = [&] {
+    for (std::size_t t = 0; t < t_count; ++t) {
+      rt::matmul(z[t], w, fwd[t], false, false, pool, st);
+      rt::matmul(dg[t], w, bwd[t], false, true, pool, st);
+    }
+  };
+  const auto prepacked = [&] {
+    conc::parallel_for(pool, 0, 2, [&](std::size_t trans) {
+      if (trans == 0) {
+        rt::pack_b_panels(w.fdata(), false, zc, gc, tiling, panel_w.data());
+      } else {
+        rt::pack_b_panels(w.fdata(), true, gc, zc, tiling, panel_wt.data());
+      }
+    });
+    for (std::size_t t = 0; t < t_count; ++t) {
+      rt::matmul(z[t], w, fwd_packed[t], false, false, pool, st, nullptr,
+                 ir::PointwiseFn::kIdentity, panel_w.data());
+      rt::matmul(dg[t], w, bwd_packed[t], false, true, pool, st, nullptr,
+                 ir::PointwiseFn::kIdentity, panel_wt.data());
+    }
+  };
+  per_call();
+  prepacked();
+
+  PackingResult r;
+  r.label = label;
+  r.b = b;
+  r.steps = steps;
+  r.threads = threads;
+  r.per_call_us = time_best(reps, [&] {
+                    for (int i = 0; i < iters; ++i) per_call();
+                  }) / iters * 1e6;
+  r.prepacked_us = time_best(reps, [&] {
+                     for (int i = 0; i < iters; ++i) prepacked();
+                   }) / iters * 1e6;
+  r.speedup = r.per_call_us / r.prepacked_us;
+  const auto same_bits = [](const rt::DenseTensor& x, const rt::DenseTensor& y) {
+    return std::memcmp(x.fdata(), y.fdata(), x.byte_size()) == 0;
+  };
+  r.bitwise_ok = true;
+  for (std::size_t t = 0; t < t_count; ++t)
+    r.bitwise_ok = r.bitwise_ok && same_bits(fwd[t], fwd_packed[t]) &&
+                   same_bits(bwd[t], bwd_packed[t]);
+  return r;
+}
+
 void write_codegen_json(const std::string& path, std::size_t threads,
                         const std::vector<ChainResult>& chains,
                         const UkrResult& ukr, bool speedup_gate_ok) {
@@ -773,7 +863,8 @@ void write_json(const std::string& path, std::size_t threads,
                 const std::vector<ConvResult>& convs,
                 const std::vector<TrafficPoint>& traffic, bool traffic_trend_ok,
                 const std::vector<ElementResult>& elements, double copy_bandwidth,
-                const std::vector<StackResult>& stacking) {
+                const std::vector<StackResult>& stacking,
+                const std::vector<PackingResult>& packing) {
   util::Json gemm_rows = util::Json::array();
   for (const GemmResult& r : gemms)
     gemm_rows.push_back(util::Json::object(
@@ -806,13 +897,20 @@ void write_json(const std::string& path, std::size_t threads,
         {{"label", r.label}, {"b", r.b}, {"steps", r.steps}, {"threads", r.threads},
          {"per_timestep_us", r.per_timestep_us}, {"stacked_us", r.stacked_us},
          {"speedup", r.speedup}, {"max_err_over_bound", r.max_err_over_bound}}));
+  util::Json packing_rows = util::Json::array();
+  for (const PackingResult& r : packing)
+    packing_rows.push_back(util::Json::object(
+        {{"label", r.label}, {"b", r.b}, {"steps", r.steps}, {"threads", r.threads},
+         {"per_call_us", r.per_call_us}, {"prepacked_us", r.prepacked_us},
+         {"speedup", r.speedup}, {"bitwise_ok", r.bitwise_ok}}));
   const util::Json doc = util::Json::object(
       {{"threads", threads}, {"model_cache_bytes", rt::kGemmModelCacheBytes},
        {"gemm", gemm_rows}, {"conv", conv_rows}, {"traffic_sweep", traffic_rows},
        {"traffic_trend_matches_model", traffic_trend_ok},
        {"element_kernels", element_rows},
        {"copy_bandwidth_gbytes_per_s", copy_bandwidth / 1e9},
-       {"weight_gradient_stacking", stacking_rows}});
+       {"weight_gradient_stacking", stacking_rows},
+       {"shared_weight_packing", packing_rows}});
   std::ofstream(path) << doc.dump() << "\n";
 }
 
@@ -1011,8 +1109,30 @@ int main(int argc, char** argv) {
   std::cout << "\n== recurrent weight gradient: per timestep vs stacked (K = T*b) ==\n";
   stack_table.print(std::cout);
 
+  // Section 7: the same layer's 2T GEMMs that read W, packing W per call
+  // vs once per step, at the same two configurations.
+  std::vector<PackingResult> packing;
+  for (const auto& [b, pack_threads] :
+       {std::pair<std::int64_t, std::size_t>{2, 1}, {16, 3}})
+    packing.push_back(bench_shared_packing("b" + std::to_string(b) + "_t" +
+                                               std::to_string(pack_threads),
+                                           b, pack_threads, 2 * stack_h, 4 * stack_h,
+                                           stack_steps, reps, smoke ? 2 : 20));
+  util::Table packing_table({"shape", "threads", "per-call packing us", "prepacked us",
+                             "speedup", "bitwise"});
+  for (const PackingResult& r : packing) {
+    ok = ok && r.bitwise_ok;
+    packing_table.add_row({"z " + std::to_string(r.b) + "x" + std::to_string(2 * stack_h) +
+                               ", T = " + std::to_string(r.steps),
+                           std::to_string(r.threads), util::format_sig(r.per_call_us, 3),
+                           util::format_sig(r.prepacked_us, 3),
+                           util::format_sig(r.speedup, 3), r.bitwise_ok ? "yes" : "NO"});
+  }
+  std::cout << "\n== shared weight: packed per call vs once per step (2T GEMMs) ==\n";
+  packing_table.print(std::cout);
+
   write_json(out_path, threads, gemms, convs, traffic, traffic_trend_ok, elements,
-             copy_bandwidth, stacking);
+             copy_bandwidth, stacking, packing);
   std::cout << "wrote " << out_path << "\n";
   write_codegen_json(codegen_out_path, threads, chains, ukr, speedup_gate_ok);
   std::cout << "wrote " << codegen_out_path << "\n";

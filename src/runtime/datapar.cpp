@@ -182,6 +182,7 @@ struct DataParallelRunner::Worker {
   Clock::time_point step_start;
   std::vector<double> micro_start;
   std::vector<ProfileReport> micro_reports;
+  double compute_seconds = 0;
   double delay_seconds = 0;
   double comm_seconds = 0;
   std::vector<BucketStats> bucket_stats;
@@ -401,6 +402,7 @@ DataParallelStepResult DataParallelRunner::step() {
   for (auto& wk : workers_) {
     wk->micro_start.clear();
     wk->micro_reports.clear();
+    wk->compute_seconds = 0;
     wk->delay_seconds = 0;
     wk->comm_seconds = 0;
     wk->bucket_stats.assign(buckets_.size(), {});
@@ -430,7 +432,7 @@ DataParallelStepResult DataParallelRunner::step() {
   res.workers.reserve(static_cast<std::size_t>(n));
   for (const auto& wk : workers_) {
     WorkerStepStats ws;
-    for (const ProfileReport& r : wk->micro_reports) ws.compute_seconds += r.wall_seconds;
+    ws.compute_seconds = wk->compute_seconds;
     ws.delay_seconds = wk->delay_seconds;
     ws.comm_seconds = wk->comm_seconds;
     res.workers.push_back(ws);
@@ -464,8 +466,10 @@ void DataParallelRunner::run_worker(int w) {
       const int shard = w * micro + m;
       for (std::size_t i = 0; i < inputs_.size(); ++i)
         wk.ex->set_input(inputs_[i], micro_inputs_[static_cast<std::size_t>(shard)][i]);
-      wk.micro_start.push_back(seconds_between(wk.step_start, Clock::now()));
+      const auto micro_start = Clock::now();
+      wk.micro_start.push_back(seconds_between(wk.step_start, micro_start));
       wk.micro_reports.push_back(wk.ex->run_step());
+      wk.compute_seconds += seconds_between(micro_start, Clock::now());
       if (loss_ != nullptr)
         micro_losses_[static_cast<std::size_t>(shard)] = wk.ex->value(loss_).f(0);
       std::vector<float>& slot = wk.slots[static_cast<std::size_t>(m)];

@@ -132,7 +132,10 @@ struct DataParallelOptions {
 
 /// Per-worker timing of one step.
 struct WorkerStepStats {
-  double compute_seconds = 0;  ///< sum of micro-step wall times
+  /// Sum of the micro-steps' run_step() wall times, each timed around the
+  /// call, so the executor's prologue (plan, fills, panel packing) counts
+  /// as compute.
+  double compute_seconds = 0;
   double delay_seconds = 0;    ///< injected straggler sleep
   double comm_seconds = 0;     ///< sum of ring-phase durations (incl. barrier waits)
 };

@@ -48,6 +48,12 @@ std::int64_t infer_int_range(const ir::Tensor* t, const sym::Bindings& bind) {
   return 2;
 }
 
+/// (k, n) of op(B) for a rank-2 B stored with `shape`.
+std::pair<std::int64_t, std::int64_t> op_b_dims(const std::vector<std::int64_t>& shape,
+                                                bool trans_b) {
+  return trans_b ? std::pair{shape[1], shape[0]} : std::pair{shape[0], shape[1]};
+}
+
 }  // namespace
 
 bool memory_plan_env_default() { return true; }
@@ -89,6 +95,23 @@ Executor::Executor(const ir::Graph& graph, sym::Bindings bindings, ExecutorOptio
     for (const ir::FusedInstr& instr : f.program())
       k.alphas.push_back(static_cast<float>(instr.alpha.eval(bindings_)));
   }
+  // Weights that two or more MatMuls read as the same rank-2 B operand get
+  // one panel per step; operands read once keep per-call packing.
+  for (std::size_t i = 0; i < dag_.order.size(); ++i) {
+    const ir::Op* op = dag_.order[i];
+    if (op->type() != ir::OpType::kMatMul) continue;
+    const ir::Tensor* b = op->input(1);
+    if (b->role() != ir::TensorRole::kWeight || b->shape().rank() != 2) continue;
+    const bool trans_b = static_cast<const ir::MatMulOp&>(*op).trans_b();
+    auto it = std::find_if(packed_weights_.begin(), packed_weights_.end(),
+                           [&](const PackedWeight& p) {
+                             return p.weight == b && p.trans_b == trans_b;
+                           });
+    if (it == packed_weights_.end())
+      it = packed_weights_.insert(it, PackedWeight{b, trans_b, {}});
+    it->readers.push_back(i);
+  }
+  std::erase_if(packed_weights_, [](const PackedWeight& p) { return p.readers.size() < 2; });
   for (const auto& t : graph_->tensors()) {
     shapes_.emplace(t.get(), t->shape().eval(bindings_));
   }
@@ -221,6 +244,23 @@ void Executor::build_plan() {
     step_fills_.push_back(std::move(fill));
   }
 
+  // One mapped region holds every packed weight's panel for the tiling in
+  // force, each panel starting on a 64-byte boundary.
+  panel_tiling_ = default_gemm_tiling();
+  constexpr std::int64_t kPanelAlignFloats = kTensorAlignment / sizeof(float);
+  std::vector<std::int64_t> panel_offsets;
+  std::int64_t panel_floats = 0;
+  for (const PackedWeight& pw : packed_weights_) {
+    const auto [k, n] = op_b_dims(shapes_.at(pw.weight), pw.trans_b);
+    panel_offsets.push_back(panel_floats);
+    panel_floats += (packed_b_floats(k, n, panel_tiling_) + kPanelAlignFloats - 1) /
+                    kPanelAlignFloats * kPanelAlignFloats;
+  }
+  panel_pages_ = map_pages(static_cast<std::size_t>(panel_floats) * sizeof(float));
+  panels_.clear();
+  for (std::int64_t offset : panel_offsets)
+    panels_.push_back(reinterpret_cast<float*>(panel_pages_.get()) + offset);
+
   // Both schedules must also respect the plan's reuse edges: an op that
   // first writes a reused slab range may not run until every accessor of
   // the range's previous occupant retired.
@@ -250,6 +290,8 @@ void Executor::build_plan() {
     }
     for (const ir::Tensor* t : op.inputs()) r.in.push_back(&storage(t));
   }
+  for (std::size_t p = 0; p < packed_weights_.size(); ++p)
+    for (std::size_t i : packed_weights_[p].readers) resolved_[i].b_packed = panels_[p];
   plan_dirty_ = false;
 }
 
@@ -267,10 +309,16 @@ void Executor::prepare_step() {
                                             : static_cast<const void*>(fill.value.idata());
     std::memcpy(fill.slab, src, fill.bytes);
   }
+  conc::parallel_for(*pool_, 0, packed_weights_.size(), [&](std::size_t p) {
+    const PackedWeight& pw = packed_weights_[p];
+    const auto [k, n] = op_b_dims(shapes_.at(pw.weight), pw.trans_b);
+    pack_b_panels(persistent_.at(pw.weight).fdata(), pw.trans_b, k, n, panel_tiling_,
+                  panels_[p]);
+  });
 }
 
 ProfileReport Executor::run_step() {
-  if (plan_dirty_) build_plan();
+  if (plan_dirty_ || panel_tiling_ != default_gemm_tiling()) build_plan();
   prepare_step();
   ProfileReport report = options_.schedule == Schedule::kSequential || dag_.order.empty()
                              ? run_step_sequential()
@@ -410,7 +458,7 @@ void Executor::execute_resolved(const ResolvedOp& r, KernelStats& stats) {
     case OpType::kMatMul: {
       const auto& mm = static_cast<const ir::MatMulOp&>(op);
       matmul(*in[0], *in[1], *out[0], mm.trans_a(), mm.trans_b(), *pool_, stats,
-             mm.epilogue_bias() ? in[2] : nullptr, mm.epilogue_activation());
+             mm.epilogue_bias() ? in[2] : nullptr, mm.epilogue_activation(), r.b_packed);
       break;
     }
     case OpType::kConv2D: {

@@ -16,6 +16,19 @@
 // allocation, and the arena peak is the planned peak. Every kernel reports
 // executed FLOPs/bytes into a TFprof-style profile.
 //
+// Shared weights are packed once per step. A weight that two or more
+// MatMuls read as a rank-2 B operand with the same trans_b (each recurrent
+// layer's W: `z_t·W` and `dgates_t·Wᵀ` at every timestep) gets one
+// packed-panel copy of op(B) per trans_b (gemm.h, pack_b_panels), laid
+// out for default_gemm_tiling() in one mapped region per plan; a step
+// under a different tiling re-plans first. Every step's prologue packs
+// all panels from the weights' current values, so a write through
+// weight_value() between steps takes effect at the next step, and those
+// MatMuls read the panel instead of packing the weight per call. The
+// panels are GEMM scratch: ArenaAccounting does not charge them, so the
+// arena peak stays the planned peak. No transformer or ResNet weight
+// qualifies; those MatMuls pack per call as before.
+//
 // Two schedules share the same kernels, slab and accounting:
 //
 //  - kSequential: the classic one-op-at-a-time topological walk.
@@ -153,6 +166,19 @@ class Executor {
     return options_.fuse ? &fusion_ : nullptr;
   }
 
+  /// A weight packed once per step for the MatMuls that share it (see the
+  /// header comment): one entry per (weight, trans_b).
+  struct PackedWeight {
+    const ir::Tensor* weight = nullptr;  ///< a tensor of executing_graph()
+    bool trans_b = false;
+    /// The MatMuls handed the panel, as positions in
+    /// ir::build_op_dag(executing_graph()).order (the timeline's op_index).
+    std::vector<std::size_t> readers;
+  };
+  /// Every packed weight, in order of its first reader; fixed at
+  /// construction.
+  const std::vector<PackedWeight>& packed_weights() const { return packed_weights_; }
+
   /// Translates a caller's (original-graph) tensor into the executing
   /// graph's. Use it to key lookups into memory_plan() or
   /// executing_graph(). Throws std::invalid_argument for tensors the
@@ -175,6 +201,9 @@ class Executor {
     const ir::Op* op = nullptr;
     /// The op's entry in fused_kernels_ (FusedPointwise ops only).
     const FusedKernel* fused = nullptr;
+    /// The packed panel of the op's B operand (MatMuls reading a packed
+    /// weight only).
+    const float* b_packed = nullptr;
     std::vector<DenseTensor*> in;
     std::vector<DenseTensor*> out;
     /// Exact slab extents of the op's planned outputs, unpoisoned in ASan
@@ -212,12 +241,13 @@ class Executor {
   void random_fill(const ir::Tensor* tensor, DenseTensor& value);
   DenseTensor& storage(const ir::Tensor* tensor);
 
-  /// Copies the step fills into the slab — the common step prologue for
-  /// both schedules.
+  /// Copies the step fills into the slab and packs every shared weight's
+  /// panel — the common step prologue for both schedules.
   void prepare_step();
   void execute_resolved(const ResolvedOp& r, KernelStats& stats);
   /// (Re)builds the memory plan, the slab with one view per planned
-  /// tensor, the reuse-edge-augmented scheduling DAG and resolved_.
+  /// tensor, the panel region for the tiling in force, the
+  /// reuse-edge-augmented scheduling DAG and resolved_.
   void build_plan();
   /// Poisons the slab (ASan builds) except the retained tensors' extents.
   void poison_slab();
@@ -260,6 +290,14 @@ class Executor {
   std::vector<ResolvedOp> resolved_;
   /// Built with the plan: every producerless slab tensor's fill.
   std::vector<StepFill> step_fills_;
+
+  std::vector<PackedWeight> packed_weights_;
+  /// Built with the plan: the tiling the panels are packed for, the one
+  /// region holding them, and each panel's start (indexed like
+  /// packed_weights_).
+  GemmTiling panel_tiling_;
+  PageBuffer panel_pages_;
+  std::vector<float*> panels_;
 };
 
 }  // namespace gf::rt

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/runtime/arena.h"
 #include "src/runtime/codegen/dispatch.h"
@@ -27,8 +28,20 @@ struct GemmScratch {
   AlignedVector<float> acc;
 };
 
-GemmScratch& thread_scratch() {
+/// The calling thread's scratch, sized the first time the thread runs a
+/// tiling to that tiling's full extents (an mc x kc A panel, a kc x nc B
+/// panel, an mc x nc accumulator), so a thread allocates once per tiling
+/// rather than again each time it meets a larger shape.
+GemmScratch& thread_scratch(const GemmTiling& t) {
   thread_local GemmScratch scratch;
+  const std::int64_t rows = ceil_div(t.mc, t.mr) * t.mr;
+  const std::int64_t cols = ceil_div(t.nc, t.nr) * t.nr;
+  const auto fit = [](AlignedVector<float>& v, std::int64_t floats) {
+    if (v.size() < static_cast<std::size_t>(floats)) v.resize(static_cast<std::size_t>(floats));
+  };
+  fit(scratch.a_panel, rows * t.kc);
+  fit(scratch.b_panel, cols * t.kc);
+  fit(scratch.acc, rows * cols);
   return scratch;
 }
 
@@ -145,17 +158,34 @@ const GemmTiling& default_gemm_tiling() {
   return tilings[static_cast<std::size_t>(codegen::active_isa())];
 }
 
+std::int64_t packed_b_floats(std::int64_t k, std::int64_t n, const GemmTiling& tiling) {
+  return ceil_div(n, tiling.nr) * tiling.nr * k;
+}
+
+void pack_b_panels(const float* b, bool trans_b, std::int64_t k, std::int64_t n,
+                   const GemmTiling& tiling, float* panels) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += tiling.nc) {
+    const std::int64_t nc_eff = std::min(tiling.nc, n - j0);
+    const std::int64_t nr_blocks = ceil_div(nc_eff, tiling.nr);
+    for (std::int64_t kk = 0; kk < k; kk += tiling.kc)
+      pack_b(b, trans_b, k, n, kk, j0, std::min(tiling.kc, k - kk), nc_eff, tiling.nr,
+             panels + j0 * k + nr_blocks * tiling.nr * kk);
+  }
+}
+
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
                   std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
                   bool trans_b, std::int64_t a_stride, std::int64_t b_stride,
                   std::int64_t c_stride, const GemmTiling& tiling,
                   conc::ThreadPool& pool, GemmTraffic* traffic,
-                  const GemmEpilogue& epilogue) {
+                  const GemmEpilogue& epilogue, const float* b_packed) {
+  if (b_packed != nullptr && batch > 1 && b_stride != 0)
+    throw std::invalid_argument("blocked_gemm: packed B panels need a shared B (b_stride 0)");
   const std::int64_t mr = tiling.mr, nr = tiling.nr;
   const std::int64_t mt = ceil_div(m, tiling.mc);
   const std::int64_t nt = ceil_div(n, tiling.nc);
   const std::int64_t tiles = batch * mt * nt;
-  std::atomic<std::int64_t> a_packed{0}, b_packed{0}, c_written{0};
+  std::atomic<std::int64_t> a_bytes{0}, b_bytes{0}, c_written{0};
   const bool count = traffic != nullptr;
   // Micro-kernel choice is uniform across the call: the compiled kernel for
   // the active ISA when its register tile is what we packed for, else the
@@ -181,10 +211,9 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
     const std::int64_t mr_blocks = ceil_div(mc_eff, mr);
     const std::int64_t nr_blocks = ceil_div(nc_eff, nr);
 
-    GemmScratch& scratch = thread_scratch();
+    GemmScratch& scratch = thread_scratch(tiling);
     const std::size_t acc_size =
         static_cast<std::size_t>(mr_blocks * nr_blocks * mr * nr);
-    if (scratch.acc.size() < acc_size) scratch.acc.resize(acc_size);
     std::fill(scratch.acc.begin(), scratch.acc.begin() + acc_size, 0.0f);
 
     // One accumulator pass per tile: KC blocks stream through the packed
@@ -194,22 +223,24 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
       const std::int64_t kc_eff = std::min(tiling.kc, k - kk);
       const std::size_t a_size = static_cast<std::size_t>(mr_blocks * mr * kc_eff);
       const std::size_t b_size = static_cast<std::size_t>(nr_blocks * nr * kc_eff);
-      if (scratch.a_panel.size() < a_size) scratch.a_panel.resize(a_size);
-      if (scratch.b_panel.size() < b_size) scratch.b_panel.resize(b_size);
       pack_a(a_mat, trans_a, m, k, i0, kk, mc_eff, kc_eff, mr,
              scratch.a_panel.data());
-      pack_b(b_mat, trans_b, k, n, kk, j0, kc_eff, nc_eff, nr,
-             scratch.b_panel.data());
-      if (count) {
-        a_packed.fetch_add(static_cast<std::int64_t>(a_size * sizeof(float)),
-                           std::memory_order_relaxed);
-        b_packed.fetch_add(static_cast<std::int64_t>(b_size * sizeof(float)),
-                           std::memory_order_relaxed);
+      const float* b_panel = scratch.b_panel.data();
+      if (b_packed != nullptr) {
+        b_panel = b_packed + j0 * k + nr_blocks * nr * kk;
+      } else {
+        pack_b(b_mat, trans_b, k, n, kk, j0, kc_eff, nc_eff, nr, scratch.b_panel.data());
+        if (count)
+          b_bytes.fetch_add(static_cast<std::int64_t>(b_size * sizeof(float)),
+                            std::memory_order_relaxed);
       }
+      if (count)
+        a_bytes.fetch_add(static_cast<std::int64_t>(a_size * sizeof(float)),
+                          std::memory_order_relaxed);
       for (std::int64_t jb = 0; jb < nr_blocks; ++jb)
         for (std::int64_t ib = 0; ib < mr_blocks; ++ib) {
           const float* a_strip = scratch.a_panel.data() + ib * kc_eff * mr;
-          const float* b_strip = scratch.b_panel.data() + jb * kc_eff * nr;
+          const float* b_strip = b_panel + jb * kc_eff * nr;
           float* acc = scratch.acc.data() + (ib * nr_blocks + jb) * mr * nr;
           if (!compiled_ukr ||
               !codegen::gemm_micro_kernel(ukr_isa, a_strip, b_strip, kc_eff,
@@ -236,8 +267,8 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
   });
 
   if (traffic != nullptr) {
-    traffic->a_packed_bytes += static_cast<double>(a_packed.load());
-    traffic->b_packed_bytes += static_cast<double>(b_packed.load());
+    traffic->a_packed_bytes += static_cast<double>(a_bytes.load());
+    traffic->b_packed_bytes += static_cast<double>(b_bytes.load());
     traffic->c_bytes += static_cast<double>(c_written.load());
   }
 }

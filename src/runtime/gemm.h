@@ -33,9 +33,17 @@
 //    computed by exactly one `parallel_for` iteration (disjoint writes, no
 //    cross-thread reduction), which preserves the wavefront executor's
 //    bitwise-determinism guarantees.
+//  - B reaches the micro-kernel one of two ways. By default each tile
+//    packs its own block of op(B) per KC block. A caller that multiplies
+//    by the same B many times (the executor, for a recurrent weight read
+//    every timestep) packs all of op(B) once with `pack_b_panels` and
+//    passes the result as `b_packed`; the tiles then read those panels,
+//    which hold exactly the strips per-tile packing would have produced,
+//    so the output bits do not change.
 //  - Packing volume is counted per call (`GemmTraffic`), giving an
 //    *empirical* traffic measurement that `bench/kernel_bench` cross-checks
-//    against `hw::tiled_matmul_bytes`.
+//    against `hw::tiled_matmul_bytes`. It counts only the packing the call
+//    itself does: B panels a caller packed are not charged.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +69,7 @@ struct GemmTiling {
   std::int64_t kc = 0;  ///< shared-dimension block length
   std::int64_t mr = kGemmMr;  ///< micro-tile rows (strip height of packed A)
   std::int64_t nr = kGemmNr;  ///< micro-tile cols (strip width of packed B)
+  friend bool operator==(const GemmTiling&, const GemmTiling&) = default;
 };
 
 /// Derives KC/MC/NC from a cache size using the same square-tile rule as
@@ -101,19 +110,34 @@ struct GemmEpilogue {
   Act act = Act::kNone;
 };
 
+/// Floats `pack_b_panels` writes for a (k x n) op(B) under `tiling`: every
+/// column zero-padded to a multiple of nr, times k.
+std::int64_t packed_b_floats(std::int64_t k, std::int64_t n, const GemmTiling& tiling);
+
+/// Packs all of op(B) (k x n; stored n x k when trans_b) into the strips
+/// blocked_gemm's tiles read: per N-tile jn (columns j0 = jn*nc on) and KC
+/// block kk, the block per-tile packing would produce, stored at
+/// j0*k + nr_blocks*nr*kk. `panels` holds packed_b_floats(k, n, tiling)
+/// floats; pass it to blocked_gemm as `b_packed` under the same tiling.
+void pack_b_panels(const float* b, bool trans_b, std::int64_t k, std::int64_t n,
+                   const GemmTiling& tiling, float* panels);
+
 /// C = op(A) . op(B) over `batch` independent row-major matrices.
 /// op(A) is (m x k) (stored k x m when trans_a), op(B) is (k x n) (stored
 /// n x k when trans_b). Strides are in elements between consecutive batch
 /// matrices; pass b_stride = 0 to broadcast one shared B across the batch.
 /// Each C element is accumulated in fp32 over ascending k (float products,
 /// float adds, no FMA) and written once: output bits are independent of
-/// the micro-kernel, tiling and thread count.
+/// the micro-kernel, tiling and thread count. A non-null `b_packed` is
+/// op(B) already packed by pack_b_panels under `tiling`; B is then shared
+/// across the batch (b_stride must be 0 when batch > 1), `b` is not read,
+/// and the bits are those of per-tile packing.
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t batch,
                   std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
                   bool trans_b, std::int64_t a_stride, std::int64_t b_stride,
                   std::int64_t c_stride, const GemmTiling& tiling,
                   conc::ThreadPool& pool, GemmTraffic* traffic = nullptr,
-                  const GemmEpilogue& epilogue = {});
+                  const GemmEpilogue& epilogue = {}, const float* b_packed = nullptr);
 
 /// The retained reference kernel: naive row-parallel triple loop with
 /// per-element transpose lambdas and a double accumulator — the accuracy

@@ -92,7 +92,8 @@ Im2ColShape conv_shape(const DenseTensor& in, std::int64_t kh, std::int64_t kw,
 
 void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool trans_a,
             bool trans_b, conc::ThreadPool& pool, KernelStats& stats,
-            const DenseTensor* epi_bias, ir::PointwiseFn epi_act) {
+            const DenseTensor* epi_bias, ir::PointwiseFn epi_act,
+            const float* b_packed) {
   const bool a3 = a.rank() == 3, b3 = b.rank() == 3;
   expect(a.rank() >= 2 && b.rank() >= 2, "matmul rank");
   const std::int64_t batch = a3 ? a.dim(0) : 1;
@@ -120,7 +121,8 @@ void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool t
   }
 
   blocked_gemm(a.fdata(), b.fdata(), out.fdata(), batch, m, n, k, trans_a, trans_b,
-               a_stride, b_stride, o_stride, default_gemm_tiling(), pool, nullptr, epi);
+               a_stride, b_stride, o_stride, default_gemm_tiling(), pool, nullptr, epi,
+               b_packed);
 
   stats.flops += 2.0 * static_cast<double>(batch) * m * n * k;
   // Epilogue work, mirroring MatMulOp::flops()/bytes_accessed() exactly.

@@ -47,11 +47,14 @@ struct KernelStats {
 // once algorithmically; cache re-streaming is the hw model's concern).
 // `epi_bias` / `epi_act` carry a fused MatMul epilogue (src/ir/fusion.h)
 // into the GEMM's per-tile output pass; results stay bitwise equal to the
-// separate matmul -> bias_add -> pointwise kernel sequence.
+// separate matmul -> bias_add -> pointwise kernel sequence. `b_packed` is a
+// rank-2 b already packed by pack_b_panels under default_gemm_tiling()
+// (blocked_gemm's argument of that name); stats are charged as without it.
 void matmul(const DenseTensor& a, const DenseTensor& b, DenseTensor& out, bool trans_a,
             bool trans_b, conc::ThreadPool& pool, KernelStats& stats,
             const DenseTensor* epi_bias = nullptr,
-            ir::PointwiseFn epi_act = ir::PointwiseFn::kIdentity);
+            ir::PointwiseFn epi_act = ir::PointwiseFn::kIdentity,
+            const float* b_packed = nullptr);
 
 // NHWC convolution, "same" padding (odd kernel), square stride. Executed
 // as im2col + blocked GEMM.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/ir/gradients.h"
+#include "src/models/models.h"
 #include "src/runtime/datapar.h"
 #include "src/runtime/executor.h"
 #include "src/whatif/trace.h"
@@ -371,30 +372,49 @@ TEST(DataParallel, KernelErrorIsRethrownAndPoisonsTheRunner) {
 // Runner: degenerate N=1/S=1 path vs the plain executor
 // ---------------------------------------------------------------------------
 
-TEST(DataParallel, DegeneratesToPlainExecutorBitwise) {
-  const Bindings bind{{"batch", 16}};
-  TinyMlp plain_model;
-  Executor ex(plain_model.g, bind);
-  ex.retain(plain_model.loss);
-
-  TinyMlp dp_model;
+/// One worker on one shard must step like a plain executor, loss and every
+/// weight bit for bit. `plain` and `dp` are two builds of the same model.
+void expect_degenerates_to_plain_executor(const Graph& plain, const Tensor* plain_loss,
+                                          const Graph& dp, const Tensor* dp_loss,
+                                          const Bindings& bind) {
+  Executor ex(plain, bind);
+  ex.retain(plain_loss);
   DataParallelOptions opt;
   opt.workers = 1;
   opt.grad_shards = 1;
-  DataParallelRunner runner(dp_model.g, dp_model.loss, bind, opt);
+  DataParallelRunner runner(dp, dp_loss, bind, opt);
+  ASSERT_EQ(plain.tensors().size(), dp.tensors().size());
 
   for (int s = 0; s < 3; ++s) {
     ex.run_step();
-    const float plain_loss = ex.value(plain_model.loss).f(0);
     const DataParallelStepResult res = runner.step();
-    EXPECT_EQ(bits_of(res.loss), bits_of(plain_loss)) << "step " << s;
-    EXPECT_EQ(float_bits(runner.worker_executor(0).weight_value(dp_model.w1)),
-              float_bits(ex.weight_value(plain_model.w1)))
-        << "step " << s;
-    EXPECT_EQ(float_bits(runner.worker_executor(0).weight_value(dp_model.w2)),
-              float_bits(ex.weight_value(plain_model.w2)))
-        << "step " << s;
+    EXPECT_EQ(bits_of(res.loss), bits_of(ex.value(plain_loss).f(0))) << "step " << s;
+    for (std::size_t i = 0; i < plain.tensors().size(); ++i) {
+      const Tensor* w = plain.tensors()[i].get();
+      if (w->role() != ir::TensorRole::kWeight) continue;
+      EXPECT_EQ(float_bits(runner.worker_executor(0).weight_value(dp.tensors()[i].get())),
+                float_bits(ex.weight_value(w)))
+          << "step " << s << " " << w->name();
+    }
   }
+}
+
+// TinyMlp shares no weight. The toy word LM's recurrent weights are packed
+// once per step, and the runner writes its weights outside run_step().
+TEST(DataParallel, DegeneratesToPlainExecutorBitwise) {
+  {
+    TinyMlp plain, dp;
+    expect_degenerates_to_plain_executor(plain.g, plain.loss, dp.g, dp.loss,
+                                         Bindings{{"batch", 16}});
+  }
+  models::WordLmConfig cfg;
+  cfg.vocab = 40;
+  cfg.seq_length = 5;
+  cfg.layers = 2;
+  const models::ModelSpec plain = models::build_word_lm(cfg);
+  const models::ModelSpec dp = models::build_word_lm(cfg);
+  expect_degenerates_to_plain_executor(*plain.graph, plain.loss, *dp.graph, dp.loss,
+                                       plain.bind(8, 2));
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +497,33 @@ TEST(DataParallel, ReportsBucketAndWorkerStats) {
     payload += static_cast<double>(b.payload_bytes);
   }
   EXPECT_EQ(payload, runner.total_gradient_bytes());
-  for (const WorkerStepStats& w : res.workers) EXPECT_GT(w.compute_seconds, 0.0);
+
+  // compute_seconds times each micro-step's run_step() call, prologue
+  // included, so it is at least the sum of the micro reports' walls, and
+  // each of those covers its micro-step's op events. Micro-steps run one
+  // after another, so a worker's op events in start order fall into
+  // consecutive blocks of one step's op count.
+  const std::size_t ops =
+      ir::build_op_dag(runner.worker_executor(0).executing_graph()).order.size();
+  const int lane_width = static_cast<int>(opt.threads_per_worker) + 1;
+  for (int w = 0; w < 2; ++w) {
+    std::vector<const TimelineEvent*> mine;
+    for (const TimelineEvent& e : res.timeline.timeline)
+      if (e.category.empty() && e.worker / lane_width == w) mine.push_back(&e);
+    ASSERT_EQ(mine.size(), ops * static_cast<std::size_t>(runner.micro_steps()));
+    double spans = 0;
+    for (std::size_t first = 0; first < mine.size(); first += ops) {
+      double lo = mine[first]->start_seconds, hi = 0;
+      for (std::size_t i = first; i < first + ops; ++i) {
+        lo = std::min(lo, mine[i]->start_seconds);
+        hi = std::max(hi, mine[i]->end_seconds);
+      }
+      spans += hi - lo;
+    }
+    const WorkerStepStats& ws = res.workers[static_cast<std::size_t>(w)];
+    EXPECT_GE(ws.compute_seconds, spans) << "worker " << w;
+    EXPECT_LE(ws.compute_seconds, res.wall_seconds) << "worker " << w;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
 
 #include "src/ir/footprint.h"
 #include "src/ir/gradients.h"
 #include "src/models/models.h"
+#include "src/models/transformer.h"
+#include "src/runtime/codegen/dispatch.h"
 #include "src/runtime/executor.h"
 
 namespace gf::rt {
@@ -173,15 +178,17 @@ struct ModelCase {
   double batch;
 };
 
+ModelCase toy_word_lm() {
+  models::WordLmConfig cfg;
+  cfg.vocab = 40;
+  cfg.seq_length = 5;
+  cfg.layers = 2;
+  return {"word_lm", models::build_word_lm(cfg), 8, 2};
+}
+
 std::vector<ModelCase> toy_models() {
   std::vector<ModelCase> cases;
-  {
-    models::WordLmConfig cfg;
-    cfg.vocab = 40;
-    cfg.seq_length = 5;
-    cfg.layers = 2;
-    cases.push_back({"word_lm", models::build_word_lm(cfg), 8, 2});
-  }
+  cases.push_back(toy_word_lm());
   {
     models::CharLmConfig cfg;
     cfg.vocab = 20;
@@ -265,6 +272,123 @@ TEST(ToyModelTraining, WordLmLossDecreases) {
   const float first = ex.value(loss).f(0);
   for (int i = 0; i < 30; ++i) ex.run_step();
   EXPECT_LT(ex.value(loss).f(0), first);
+}
+
+// --- shared-weight panels -------------------------------------------------
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+std::vector<std::uint32_t> float_bits(const DenseTensor& t) {
+  std::vector<std::uint32_t> bits(static_cast<std::size_t>(t.numel()));
+  std::memcpy(bits.data(), t.fdata(), bits.size() * sizeof(std::uint32_t));
+  return bits;
+}
+
+// Every recurrent weight matrix (one whose gradient the executor computes
+// as a single stacked GEMM over Concat'ed timesteps) gets exactly two
+// panels, for z_t·W and dgates_t·Wᵀ; no other weight gets one.
+TEST(Executor, PacksTwoPanelsPerRecurrentWeight) {
+  std::vector<ModelCase> cases = toy_models();
+  models::TransformerLmConfig tcfg;
+  tcfg.vocab = 30;
+  tcfg.layers = 2;
+  tcfg.seq_length = 4;
+  cases.push_back({"transformer", models::build_transformer_lm(tcfg), 8, 2});
+  for (const ModelCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Executor ex(*c.spec.graph, c.spec.bind(c.hidden, c.batch));
+    std::map<const ir::Tensor*, int> trans_seen;  // recurrent weight -> trans_b bits
+    for (const auto& op : ex.executing_graph().ops()) {
+      if (op->type() != ir::OpType::kApplyGradient) continue;
+      const ir::Op* grad = op->input(1)->producer();
+      if (grad != nullptr && grad->type() == ir::OpType::kMatMul &&
+          grad->input(0)->producer() != nullptr &&
+          grad->input(0)->producer()->type() == ir::OpType::kConcat)
+        trans_seen.emplace(op->input(0), 0);
+    }
+    for (const Executor::PackedWeight& pw : ex.packed_weights()) {
+      ASSERT_TRUE(trans_seen.contains(pw.weight)) << pw.weight->name();
+      EXPECT_GE(pw.readers.size(), 2u) << pw.weight->name();
+      trans_seen[pw.weight] |= 1 << static_cast<int>(pw.trans_b);
+    }
+    for (const auto& [w, seen] : trans_seen) EXPECT_EQ(seen, 3) << w->name();
+    EXPECT_EQ(ex.packed_weights().size(), 2 * trans_seen.size());
+    const std::string name = c.name;
+    if (name == "word_lm") {
+      EXPECT_EQ(ex.packed_weights().size(), 4u);
+    }
+    if (name == "transformer" || name == "resnet") {
+      EXPECT_TRUE(ex.packed_weights().empty());
+    }
+  }
+}
+
+// The panels are packed from the weights' current values in every step's
+// prologue: a fresh executor handed a trained one's weights through
+// weight_value() takes the next step bit for bit like the trained one.
+// Packing once per plan would leave the trained executor on its initial
+// weights' panels.
+TEST(Executor, PackedPanelsFollowWeightUpdates) {
+  const ModelCase c = toy_word_lm();
+  const Bindings bind = c.spec.bind(c.hidden, c.batch);
+  Executor trained(*c.spec.graph, bind);
+  trained.retain(c.spec.loss);
+  ASSERT_FALSE(trained.packed_weights().empty());
+  for (int i = 0; i < 3; ++i) trained.run_step();
+
+  Executor fresh(*c.spec.graph, bind);
+  fresh.retain(c.spec.loss);
+  for (const auto& t : c.spec.graph->tensors())
+    if (t->role() == ir::TensorRole::kWeight)
+      fresh.weight_value(t.get()) = trained.weight_value(t.get());
+  trained.run_step();
+  fresh.run_step();
+  EXPECT_EQ(bits_of(fresh.value(c.spec.loss).f(0)), bits_of(trained.value(c.spec.loss).f(0)));
+}
+
+/// h1 = tanh(x·W), h2 = tanh(h1·W), h3 = tanh(h2·W) with one 21 x 21 W:
+/// three MatMuls read W and two read Wᵀ, and 21 is a multiple of no
+/// register tile's nr.
+struct TiedSquare {
+  Graph g{"tied"};
+  Tensor* loss = nullptr;
+  Tensor* w = nullptr;
+
+  TiedSquare() {
+    Tensor* h = g.add_input("x", {Expr::symbol("batch"), Expr(21)});
+    w = g.add_weight("w", {Expr(21), Expr(21)});
+    for (int l = 0; l < 3; ++l)
+      h = ir::tanh(g, "act" + std::to_string(l),
+                   ir::matmul(g, "fc" + std::to_string(l), h, w));
+    loss = ir::reduce_mean(g, "loss", h);
+    ir::build_training_step(g, loss, {});
+  }
+};
+
+// Panels are laid out for the tiling in force: a step under another ISA's
+// register tile re-plans, so switching ISAs between steps keeps the bits
+// of an executor that never switched.
+TEST(Executor, PackedPanelsFollowTheActiveIsa) {
+  TiedSquare m;
+  const Bindings bind{{"batch", 5}};
+  Executor plain(m.g, bind);
+  Executor switched(m.g, bind);
+  plain.retain(m.loss);
+  switched.retain(m.loss);
+  ASSERT_EQ(switched.packed_weights().size(), 2u);
+  for (hw::SimdIsa isa : {hw::SimdIsa::kGeneric, hw::best_simd_isa()}) {
+    SCOPED_TRACE(hw::simd_isa_name(isa));
+    codegen::set_forced_isa(isa);
+    switched.run_step();
+    codegen::set_forced_isa(std::nullopt);
+    plain.run_step();
+    EXPECT_EQ(bits_of(switched.value(m.loss).f(0)), bits_of(plain.value(m.loss).f(0)));
+    EXPECT_EQ(float_bits(switched.weight_value(m.w)), float_bits(plain.weight_value(m.w)));
+  }
 }
 
 }  // namespace

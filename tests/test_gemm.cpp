@@ -240,6 +240,49 @@ TEST(BlockedGemm, BitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
+// Panels packed once by pack_b_panels hold exactly the strips per-tile
+// packing produces, so a prepacked call matches a per-call one bitwise:
+// ragged n (a multiple of neither nr nor nc), k over three KC blocks, both
+// trans_b, a bias + activation epilogue, a rank-3 A over a broadcast B and
+// 1 or 3 threads. Prepacked B is not charged to GemmTraffic.
+TEST(BlockedGemm, PrepackedPanelsMatchPerCallPackingBitwise) {
+  conc::ThreadPool one(1), three(3);
+  const std::int64_t m = 11;
+  for (const GemmTiling& tiling : both_micro_kernels()) {
+    const std::int64_t n = tiling.nc + tiling.nr + 3, k = 2 * tiling.kc + 9;
+    const std::vector<float> b = random_vec(static_cast<std::size_t>(k * n), 43);
+    const std::vector<float> bias = random_vec(static_cast<std::size_t>(n), 47);
+    GemmEpilogue bias_sigmoid;
+    bias_sigmoid.bias = bias.data();
+    bias_sigmoid.act = GemmEpilogue::Act::kSigmoid;
+    for (bool trans_b : {false, true}) {
+      std::vector<float> panels(static_cast<std::size_t>(packed_b_floats(k, n, tiling)));
+      pack_b_panels(b.data(), trans_b, k, n, tiling, panels.data());
+      for (std::int64_t batch : {1, 3})
+        for (const GemmEpilogue& epi : {GemmEpilogue{}, bias_sigmoid})
+          for (conc::ThreadPool* tp : {&one, &three}) {
+            SCOPED_TRACE(testing::Message()
+                         << tile_name(tiling) << " trans_b=" << trans_b << " batch=" << batch
+                         << " epilogue=" << (epi.bias != nullptr)
+                         << " threads=" << tp->thread_count());
+            const std::vector<float> a =
+                random_vec(static_cast<std::size_t>(batch * m * k), 41);
+            std::vector<float> per_call(static_cast<std::size_t>(batch * m * n));
+            std::vector<float> prepacked(per_call.size());
+            blocked_gemm(a.data(), b.data(), per_call.data(), batch, m, n, k, false,
+                         trans_b, m * k, 0, m * n, tiling, *tp, nullptr, epi);
+            GemmTraffic traffic;
+            blocked_gemm(a.data(), nullptr, prepacked.data(), batch, m, n, k, false,
+                         trans_b, m * k, 0, m * n, tiling, *tp, &traffic, epi,
+                         panels.data());
+            EXPECT_EQ(bits_of(prepacked), bits_of(per_call));
+            EXPECT_EQ(traffic.b_packed_bytes, 0.0);
+            EXPECT_GT(traffic.a_packed_bytes, 0.0);
+          }
+    }
+  }
+}
+
 TEST(GemmTiling, FollowsPaperTileRule) {
   // T = floor(sqrt(cache / (3 * dtype))) — the same rule as
   // hw::tiled_matmul_bytes; MC/NC round down to micro-tile multiples.
